@@ -7,18 +7,21 @@ module queries (``localize``, ``iso``), the theorem suite over one ring
 
 Exit codes: 0 when every check passed, 1 when a property was violated (the
 counterexample payload is printed), 2 when a bound or budget ran out before
-an answer was reached, 3 for input errors.  Output is line oriented with a
-stable field order and is byte-identical across runs of the same request.
+an answer was reached, 3 for input errors, 4 when an internal consistency
+check failed (a bug in ringlab; the message and the arguments are printed).
+Output is line oriented with a stable field order and is byte-identical
+across runs of the same request.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .counterexamples import (
     NotPrincipalUpTo,
@@ -66,7 +69,24 @@ from .rings import (
     parse_ring,
 )
 
-PASS, VIOLATION, EXHAUSTED, INPUT_ERROR = 0, 1, 2, 3
+PASS, VIOLATION, EXHAUSTED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's cap on int <-> str conversion (Python 3.11+)
+    for the duration of the block, so matrices and witnesses of any size
+    can be read and printed."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _read_matrix(path: str) -> RingMatrix:
@@ -76,10 +96,17 @@ def _read_matrix(path: str) -> RingMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        with _unlimited_int_digits():
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix input is not valid JSON: {exc}") from exc
     return matrix_from_document(doc)
+
+
+def _print_reduction(doc: dict) -> int:
+    with _unlimited_int_digits():
+        print(json.dumps(doc, indent=2))
+    return PASS if doc["verified"] else VIOLATION
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -112,17 +139,13 @@ def _presentation_from_args(args: argparse.Namespace) -> MonoidPresentation:
 def _cmd_snf(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     reduction = smith_normal_form(matrix)
-    doc = reduction_to_document(matrix, reduction, args.emit_witness)
-    print(json.dumps(doc, indent=2))
-    return PASS if doc["verified"] else VIOLATION
+    return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     reduction = reduce_matrix(matrix)
-    doc = reduction_to_document(matrix, reduction, args.emit_witness)
-    print(json.dumps(doc, indent=2))
-    return PASS if doc["verified"] else VIOLATION
+    return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
 
 
 def _cmd_bezout(args: argparse.Namespace) -> int:
@@ -455,6 +478,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RinglabError as exc:
         print(f"error: {exc}")
         return INPUT_ERROR
+    except AssertionError as exc:
+        print(f"internal error: {exc}")
+        print(f"argv: {json.dumps(list(sys.argv[1:] if argv is None else argv))}")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, MismatchedRings, UnsupportedRing, search_budget
 from .rings import (
@@ -32,6 +32,33 @@ from .rings import (
     is_regular_element,
     parse_ring,
 )
+
+
+def _matmul_payloads(
+    ring: Ring, a: Sequence[Any], b: Sequence[Any], m: int, k: int, n: int
+) -> list[Any]:
+    """Row-major payload product of an m x k and a k x n matrix over ``ring``.
+
+    Every matrix product in the package runs through this loop; it works on
+    canonical payloads, so no ``RingElement`` is built per step."""
+    add, mul, zero = ring._add, ring._mul, ring._zero()
+    columns = [b[j::n] for j in range(n)]
+    out = []
+    for start in range(0, m * k, k):
+        row = a[start : start + k]
+        for column in columns:
+            acc = zero
+            for x, y in zip(row, column):
+                acc = add(acc, mul(x, y))
+            out.append(acc)
+    return out
+
+
+def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
+    if a.ring != b.ring:
+        raise MismatchedRings("matrix product across different rings")
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +106,12 @@ class RingMatrix:
         return cls(ring, rows, cols, (zero,) * (rows * cols))
 
     @classmethod
+    def _from_payloads(
+        cls, ring: Ring, rows: int, cols: int, payloads: Iterable[Any]
+    ) -> "RingMatrix":
+        return cls(ring, rows, cols, tuple(RingElement(ring, p) for p in payloads))
+
+    @classmethod
     def diagonal(
         cls, ring: Ring, diag: Iterable[Any], rows: int | None = None, cols: int | None = None
     ) -> "RingMatrix":
@@ -102,6 +135,10 @@ class RingMatrix:
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i * self.cols + j]
 
+    def payloads(self) -> list[Any]:
+        """Row-major entry payloads."""
+        return [e.payload for e in self.entries]
+
     def row_list(self) -> list[list[RingElement]]:
         return [
             list(self.entries[i * self.cols : (i + 1) * self.cols])
@@ -117,21 +154,11 @@ class RingMatrix:
         )
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        if self.ring != other.ring:
-            raise MismatchedRings("matrix product across different rings")
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ring.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return RingMatrix(ring, self.rows, other.cols, tuple(out))
+        _check_product(self, other)
+        out = _matmul_payloads(
+            self.ring, self.payloads(), other.payloads(), self.rows, self.cols, other.cols
+        )
+        return RingMatrix._from_payloads(self.ring, self.rows, other.cols, out)
 
     def map_entries(self, target: Ring, fn: Callable[[RingElement], RingElement]) -> "RingMatrix":
         return RingMatrix(target, self.rows, self.cols, tuple(fn(e) for e in self.entries))
@@ -152,13 +179,12 @@ class RingMatrix:
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
         ring = self.ring
-        out = []
-        for i in range(self.rows):
-            acc = ring.zero()
-            for j in range(self.cols):
-                acc = acc + self.entry(i, j) * vector[j]
-            out.append(acc)
-        return tuple(out)
+        for v in vector:
+            ring._own(v)
+        out = _matmul_payloads(
+            ring, self.payloads(), [v.payload for v in vector], self.rows, self.cols, 1
+        )
+        return tuple(RingElement(ring, p) for p in out)
 
 
 @dataclass(frozen=True)
@@ -175,9 +201,22 @@ class DiagonalReduction:
         return self.D.diagonal_entries()
 
 
+def _is_identity_product(ring: Ring, x: RingMatrix, y: RingMatrix) -> bool:
+    """Whether x @ y is the identity matrix over ``ring``; raises where the
+    product itself would."""
+    _check_product(x, y)
+    size = x.rows
+    if x.ring != ring or y.cols != size:
+        return False
+    one, zero = ring._one(), ring._zero()
+    product = _matmul_payloads(ring, x.payloads(), y.payloads(), size, x.cols, size)
+    return product == [one if i == j else zero for i in range(size) for j in range(size)]
+
+
 def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
     """Exact check: D diagonal, P @ A @ Q == D, and both transform pairs
-    multiply to the identity.  Raises on shape mismatch."""
+    multiply to the identity.  Raises on shape mismatch, and on a transform
+    whose stored inverse lies over a different ring."""
     m, n = A.rows, A.cols
     if red.P.rows != m or red.P.cols != m or red.Q.rows != n or red.Q.cols != n:
         raise ValueError("transform shapes do not match the matrix")
@@ -185,11 +224,16 @@ def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
         raise ValueError("diagonal matrix shape does not match the input")
     if not red.D.is_diagonal():
         return False
-    eye_m = RingMatrix.identity(A.ring, m)
-    eye_n = RingMatrix.identity(A.ring, n)
-    if red.P @ red.P_inv != eye_m or red.Q @ red.Q_inv != eye_n:
+    ring = A.ring
+    if not (
+        _is_identity_product(ring, red.P, red.P_inv)
+        and _is_identity_product(ring, red.Q, red.Q_inv)
+    ):
         return False
-    return red.P @ A @ red.Q == red.D
+    if red.D.ring != ring:
+        return False
+    pa = _matmul_payloads(ring, red.P.payloads(), A.payloads(), m, m, n)
+    return _matmul_payloads(ring, pa, red.Q.payloads(), m, n, n) == red.D.payloads()
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +467,13 @@ def _unit_inverse(ops: EuclideanOps, u: Any) -> Any:
     return (pow(u[0], -1, p),)
 
 
-def _wrap(ring: Ring, grid: list[list[Any]]) -> RingMatrix:
-    return RingMatrix(
-        ring,
-        len(grid),
-        len(grid[0]),
-        tuple(RingElement(ring, x) for row in grid for x in row),
-    )
-
-
-def smith_normal_form(A: RingMatrix) -> DiagonalReduction:
-    """Witnessed diagonal form over the integers or polynomials over a prime
-    field: canonical diagonal entries, zeros last, each entry dividing the
-    next.  The returned witnesses are re-verified before returning."""
-    ops = EuclideanOps(A.ring)
-    grid = [[e.payload for e in row] for row in A.row_list()]
-    state = _ReductionState(A.ring, ops, grid)
+def _smith_core(ring: Ring, A: RingMatrix) -> _ReductionState:
+    """The elimination behind :func:`smith_normal_form`, run over ``ring`` on
+    the entry payloads of A.  Nothing here is verified: each public entry
+    point verifies the one reduction it returns."""
+    payloads = A.payloads()
+    grid = [payloads[i : i + A.cols] for i in range(0, len(payloads), A.cols)]
+    state = _ReductionState(ring, EuclideanOps(ring), grid)
     for k in range(min(state.m, state.n)):
         pivot = _find_pivot(state, k)
         if pivot is None:
@@ -450,16 +485,36 @@ def smith_normal_form(A: RingMatrix) -> DiagonalReduction:
     _enforce_divisibility(state)
     _sort_zeros_to_end(state)
     _canonicalize_diagonal(state)
+    return state
+
+
+def _verified(
+    A: RingMatrix, state: _ReductionState, project: Callable[[Any], Any]
+) -> DiagonalReduction:
+    """Wrap the accumulators of ``state`` (payloads mapped by ``project``)
+    as a reduction of A, and verify it once."""
+
+    def wrap(grid: list[list[Any]]) -> RingMatrix:
+        flat = [project(x) for row in grid for x in row]
+        return RingMatrix._from_payloads(A.ring, len(grid), len(grid[0]), flat)
+
     red = DiagonalReduction(
-        P=_wrap(A.ring, state.P),
-        P_inv=_wrap(A.ring, state.Pi),
-        Q=_wrap(A.ring, state.Q),
-        Q_inv=_wrap(A.ring, state.Qi),
-        D=_wrap(A.ring, state.M),
+        P=wrap(state.P),
+        P_inv=wrap(state.Pi),
+        Q=wrap(state.Q),
+        Q_inv=wrap(state.Qi),
+        D=wrap(state.M),
     )
     if not verify_reduction(A, red):
         raise AssertionError("reduction verification failed; this is a bug")
     return red
+
+
+def smith_normal_form(A: RingMatrix) -> DiagonalReduction:
+    """Witnessed diagonal form over the integers or polynomials over a prime
+    field: canonical diagonal entries, zeros last, each entry dividing the
+    next.  The returned witnesses are verified before returning."""
+    return _verified(A, _smith_core(A.ring, A), lambda x: x)
 
 
 def diagonal_reduction(A: RingMatrix) -> DiagonalReduction:
@@ -471,24 +526,8 @@ def diagonal_reduction(A: RingMatrix) -> DiagonalReduction:
         raise UnsupportedRing(
             f"diagonal_reduction expects a modular ring, got {ring.descriptor()}"
         )
-    zz = IntegerRing()
-    lifted = A.map_entries(zz, lambda e: RingElement(zz, e.payload))
-    lifted_red = smith_normal_form(lifted)
     n = ring.modulus
-
-    def project(matrix: RingMatrix) -> RingMatrix:
-        return matrix.map_entries(ring, lambda e: RingElement(ring, e.payload % n))
-
-    red = DiagonalReduction(
-        P=project(lifted_red.P),
-        P_inv=project(lifted_red.P_inv),
-        Q=project(lifted_red.Q),
-        Q_inv=project(lifted_red.Q_inv),
-        D=project(lifted_red.D),
-    )
-    if not verify_reduction(A, red):
-        raise AssertionError("modular reduction verification failed; this is a bug")
-    return red
+    return _verified(A, _smith_core(IntegerRing(), A), lambda x: x % n)
 
 
 def reduce_matrix(A: RingMatrix) -> DiagonalReduction:
@@ -526,12 +565,8 @@ def hermite_reduce(v: RingMatrix) -> DiagonalReduction:
     one_by_one = [[ops.one()]]
 
     def wrap(grid: list[list[Any]]) -> RingMatrix:
-        return RingMatrix(
-            ring,
-            len(grid),
-            len(grid[0]),
-            tuple(RingElement(ring, back(x)) for row in grid for x in row),
-        )
+        flat = [back(x) for row in grid for x in row]
+        return RingMatrix._from_payloads(ring, len(grid), len(grid[0]), flat)
 
     if v.rows == 1:
         red = DiagonalReduction(
@@ -616,10 +651,12 @@ def is_regular_matrix(
             raise BudgetExceeded(
                 f"{count} candidate matrices exceed the search budget {cap}"
             )
-        for combo in itertools.product(elements, repeat=slots):
-            g = RingMatrix(ring, f.cols, f.rows, combo)
-            if f @ g @ f == f:
-                return True, g
+        m, n = f.rows, f.cols
+        fp = f.payloads()
+        for combo in itertools.product([e.payload for e in elements], repeat=slots):
+            fg = _matmul_payloads(ring, fp, combo, m, n, m)
+            if _matmul_payloads(ring, fg, fp, m, m, n) == fp:
+                return True, RingMatrix._from_payloads(ring, n, m, combo)
         return False, None
     raise ValueError(f"unknown method {method!r}")
 

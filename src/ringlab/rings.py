@@ -136,7 +136,7 @@ class Ring:
         return RingElement(self, self._one())
 
     def _own(self, a: RingElement) -> None:
-        if a.ring != self:
+        if a.ring is not self and a.ring != self:
             raise MismatchedRings(
                 f"element of {a.ring.descriptor()} used in {self.descriptor()}"
             )
@@ -446,7 +446,8 @@ class PolynomialRing(Ring):
             if steps > 4 * base.cardinality():
                 raise AssertionError("nilpotent series failed to terminate")
         inv = u * total
-        assert a * inv == self.one()
+        if a * inv != self.one():
+            raise AssertionError("nilpotent-series inverse check failed")
         return inv
 
 
@@ -689,7 +690,8 @@ class TrivialExtensionRing(Ring):
         ri = rinv.payload
         mm = self.base._neg(self.base._mul(m, self.base._mul(ri, ri)))
         inv = RingElement(self, (ri, mm))
-        assert a * inv == self.one()
+        if a * inv != self.one():
+            raise AssertionError("trivial-extension inverse check failed")
         return inv
 
 
@@ -1125,7 +1127,8 @@ def bezout_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement
         d, s, t = ops.egcd(a.payload, b.payload)
         out = (RingElement(ring, d), RingElement(ring, s), RingElement(ring, t))
     dd, ss, tt = out
-    assert ss * a + tt * b == dd, "internal Bezout identity check failed"
+    if ss * a + tt * b != dd:
+        raise AssertionError("internal Bezout identity check failed")
     return out
 
 

@@ -70,6 +70,43 @@ def test_snf_rejects_missing_file(tmp_path, capsys):
     assert "input error" in out
 
 
+def _digits_unlimited(fn):
+    """Run fn with the int <-> str digit cap lifted (it exists from 3.11)."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        return fn()
+    previous = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        return fn()
+    finally:
+        setter(previous)
+
+
+def test_snf_round_trips_entries_past_the_int_str_limit(capsys, monkeypatch):
+    digits = "7" * 5000
+    text = '{"ring": "integers", "rows": 1, "cols": 1, "entries": [%s]}' % digits
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "snf", "--emit-witness")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    result = _digits_unlimited(lambda: json.loads(out))
+    assert _digits_unlimited(lambda: str(result["diagonal"][0])) == digits
+    assert result["verified"] is True
+    assert result["witness"]["P"]["entries"] == [1]
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("ringlab.matrices.verify_reduction", lambda A, red: False)
+    doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
+    code, out = run(capsys, "snf")
+    assert code == 4
+    assert out.startswith("internal error: reduction verification failed")
+    assert 'argv: ["snf"]' in out
+
+
 def test_bezout_verified_identity(capsys):
     code, out = run(capsys, "bezout", "12", "18")
     assert code == 0

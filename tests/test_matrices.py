@@ -14,11 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import (
+    CornerRing,
     DiagonalReduction,
     IntegerRing,
+    MismatchedRings,
     ModularRing,
     PolynomialRing,
     PrimeField,
+    ProductRing,
+    QuotientRing,
     RingMatrix,
     TrivialExtensionRing,
     diagonal_reduction,
@@ -503,3 +507,157 @@ def test_modular_reduction_verifies_for_arbitrary_n(n, entries):
     red = diagonal_reduction(a)
     assert verify_reduction(a, red)
     assert is_total_divisor(red.diagonal()[0], red.diagonal()[1])
+
+
+# ---------------------------------------------------------------------------
+# matrix products against the element-by-element definition
+
+
+def _product_by_definition(a, b):
+    ring = a.ring
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ring.zero()
+            for k in range(a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            out.append(acc)
+    return out
+
+
+def _random_matrix(ring, rng, rows, cols, sample):
+    return RingMatrix(ring, rows, cols, tuple(sample(rng) for _ in range(rows * cols)))
+
+
+def _finite_sampler(ring):
+    elements = ring.elements()
+    return lambda rng: rng.choice(elements)
+
+
+def _product_rings():
+    z12 = ModularRing(12)
+    gf7x = PolynomialRing(PrimeField(7))
+    finite = [
+        z12,
+        ProductRing([Z4, ModularRing(3)]),
+        TrivialExtensionRing(Z4),
+        CornerRing(z12, z12.make(4)),
+        QuotientRing(z12, frozenset({0, 6})),
+    ]
+    return [
+        (Z, lambda rng: Z.make(rng.randint(-50, 50))),
+        (gf7x, lambda rng: gf7x.make([rng.randrange(7) for _ in range(rng.randint(0, 3))])),
+    ] + [(ring, _finite_sampler(ring)) for ring in finite]
+
+
+@pytest.mark.parametrize(
+    "ring, sample",
+    _product_rings(),
+    ids=lambda v: v.descriptor() if hasattr(v, "descriptor") else None,
+)
+def test_matmul_and_apply_match_definition(ring, sample):
+    rng = random.Random(0x3A7)
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 1), (3, 2, 4), (4, 4, 4)]:
+        a = _random_matrix(ring, rng, rows, inner, sample)
+        b = _random_matrix(ring, rng, inner, cols, sample)
+        product = a @ b
+        assert (product.ring, product.rows, product.cols) == (ring, rows, cols)
+        assert list(product.entries) == _product_by_definition(a, b)
+        vector = tuple(sample(rng) for _ in range(inner))
+        column = RingMatrix(ring, inner, 1, vector)
+        assert list(a.apply(vector)) == _product_by_definition(a, column)
+
+
+def test_matmul_and_apply_reject_mixed_rings():
+    a = RingMatrix.from_rows(Z4, [[1, 2], [3, 0]])
+    with pytest.raises(MismatchedRings):
+        a @ RingMatrix.identity(Z6, 2)
+    with pytest.raises(MismatchedRings):
+        a.apply((Z4.make(1), Z6.make(1)))
+    with pytest.raises(ValueError):
+        a.apply((Z4.make(1),))
+
+
+# ---------------------------------------------------------------------------
+# verification: tampering, shapes, mixed rings
+
+
+def _tamper(matrix, i, j, value=None):
+    entries = list(matrix.entries)
+    k = i * matrix.cols + j
+    entries[k] = value if value is not None else entries[k] + matrix.ring.one()
+    return RingMatrix(matrix.ring, matrix.rows, matrix.cols, tuple(entries))
+
+
+def _replace(red, **changes):
+    fields = dict(P=red.P, P_inv=red.P_inv, Q=red.Q, Q_inv=red.Q_inv, D=red.D)
+    fields.update(changes)
+    return DiagonalReduction(**fields)
+
+
+def _tamper_cases():
+    gf7x = PolynomialRing(PrimeField(7))
+    x = gf7x.gen()
+    return [
+        RingMatrix.from_rows(Z, [[2, 4, 3], [4, 6, 1], [8, 5, 7]]),
+        RingMatrix.from_rows(Z, [[6, 4, 0], [2, 8, 10]]),
+        RingMatrix.from_rows(ModularRing(12), [[3, 4], [6, 9], [2, 5]]),
+        RingMatrix.from_rows(gf7x, [[x * x + gf7x.one(), x], [x, gf7x.make(3)]]),
+    ]
+
+
+@pytest.mark.parametrize("a", _tamper_cases(), ids=["z3x3", "z2x3", "z12-3x2", "gf7x"])
+def test_verify_detects_each_tampered_witness(a):
+    red = reduce_matrix(a)
+    assert verify_reduction(a, red)
+    for name in ("P", "P_inv", "Q", "Q_inv"):
+        matrix = getattr(red, name)
+        for i, j in [(0, 0), (matrix.rows - 1, 0), (0, matrix.cols - 1)]:
+            assert not verify_reduction(a, _replace(red, **{name: _tamper(matrix, i, j)})), (
+                name,
+                i,
+                j,
+            )
+    off = _tamper(red.D, 0, 1, a.ring.one())
+    assert not verify_reduction(a, _replace(red, D=off))
+    wrong_entry = _tamper(red.D, 0, 0)
+    assert not verify_reduction(a, _replace(red, D=wrong_entry))
+
+
+def test_verify_shape_mismatches_raise():
+    a = RingMatrix.from_rows(Z, [[2, 4, 1], [4, 6, 5]])
+    red = smith_normal_form(a)
+    with pytest.raises(ValueError):
+        verify_reduction(RingMatrix.zeros(Z, 3, 2), red)
+    with pytest.raises(ValueError):
+        verify_reduction(a, _replace(red, P=RingMatrix.identity(Z, 3)))
+    with pytest.raises(ValueError):
+        verify_reduction(a, _replace(red, Q=RingMatrix.identity(Z, 2)))
+    with pytest.raises(ValueError):
+        verify_reduction(a, _replace(red, D=RingMatrix.zeros(Z, 3, 3)))
+    # an inverse whose rows do not match cannot be multiplied at all
+    with pytest.raises(ValueError):
+        verify_reduction(a, _replace(red, P_inv=RingMatrix.identity(Z, 3)))
+    # one whose columns do not match multiplies to a non-identity shape
+    assert not verify_reduction(a, _replace(red, Q_inv=RingMatrix.zeros(Z, 3, 2)))
+
+
+def test_verify_mixed_rings():
+    z12 = ModularRing(12)
+    a = RingMatrix.from_rows(z12, [[3, 4], [6, 9]])
+    red = diagonal_reduction(a)
+    lifted = smith_normal_form(a.map_entries(Z, lambda e: Z.make(e.payload)))
+    # a whole witness family over another ring is not a reduction of a
+    assert not verify_reduction(a, lifted)
+    assert not verify_reduction(a, _replace(red, P=lifted.P, P_inv=lifted.P_inv))
+    assert not verify_reduction(a, _replace(red, Q=lifted.Q, Q_inv=lifted.Q_inv))
+    assert not verify_reduction(a, _replace(red, D=lifted.D))
+    # a transform and its inverse over different rings cannot be multiplied
+    with pytest.raises(MismatchedRings):
+        verify_reduction(a, _replace(red, P_inv=lifted.P_inv))
+    with pytest.raises(MismatchedRings):
+        verify_reduction(a, _replace(red, Q=lifted.Q))
+    # the P pair is checked first: a foreign P pair already decides
+    assert not verify_reduction(
+        a, _replace(red, P=lifted.P, P_inv=lifted.P_inv, Q=lifted.Q)
+    )

@@ -1,5 +1,9 @@
 """Ring arithmetic, descriptors, and element-level structure queries."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,6 +185,35 @@ def test_bezout_gcd_is_canonical():
     d, s, t = bezout_gcd(r.make([4, 2]), r.make([4, 2]))
     assert d == r.make([2, 1])
     assert s * r.make([4, 2]) + t * r.make([4, 2]) == d
+
+
+def test_bezout_check_survives_python_O():
+    """The Bezout identity check is a raise, not an assert, so it still runs
+    when Python strips assert statements."""
+    import ringlab
+
+    script = """
+import ringlab.rings as rings
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+rings._int_egcd = lambda a, b: (1, 0, 0)
+try:
+    rings.bezout_gcd(rings.IntegerRing().make(4), rings.IntegerRing().make(6))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(ringlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: internal Bezout identity check failed"
 
 
 def test_bezout_gcd_of_zeros():
