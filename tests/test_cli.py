@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,22 @@ def test_verify_suite_passes(capsys):
     ):
         assert name in out
     assert "violated" not in out
+
+
+GOLDENS = {
+    entry["name"]: entry
+    for entry in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+    )
+}
+
+
+@pytest.mark.parametrize("name", ["verify_modular12", "verify_modular30"])
+def test_verify_matches_recorded_golden(capsys, name):
+    golden = GOLDENS[name]
+    code, out = run(capsys, *golden["argv"])
+    assert code == golden["exit"]
+    assert out == golden["stdout"]
 
 
 def test_verify_output_is_stable(capsys):
