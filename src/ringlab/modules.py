@@ -44,6 +44,8 @@ from .rings import (
     ModularRing,
     Ring,
     RingElement,
+    _coset_representatives,
+    _principal_ideal,
     idempotent_power,
     is_regular_element,
     jacobson_radical_and_quotient,
@@ -60,10 +62,17 @@ class FiniteModule:
     """An explicitly enumerated module over a finite commutative ring.
 
     Points are hashable payloads; ``add`` and ``scale`` are payload-level
-    rules (scale takes a ring payload first).  Module axioms are verified on
-    construction, exhaustively where the carrier is small and on a seeded
-    sample otherwise; carriers above 512 points skip the check.
+    rules (scale takes a ring payload first).  Every construction checks
+    that the ring is finite and the carrier has zero and no duplicates.  The
+    module axioms are verified where the carrier or rules come from a caller
+    (``FiniteModule(...)``, ``submodule_of_ring``, the module result of
+    ``localize_at_element``): exhaustively where the carrier is small, on a
+    seeded sample otherwise, not at all above 512 points.  Modules the
+    library derives from ring operations are ``_LibraryModule``s and skip
+    it; the tests check their axioms.
     """
+
+    _checks_axioms = True
 
     def __init__(
         self,
@@ -88,7 +97,7 @@ class FiniteModule:
         self._annihilators: dict[Any, frozenset] = {}
         if zero not in self.point_set:
             raise ValueError("carrier does not contain the zero point")
-        if len(self.points) <= _AXIOM_CHECK_LIMIT:
+        if self._checks_axioms and len(self.points) <= _AXIOM_CHECK_LIMIT:
             self._verify_axioms()
 
     def __len__(self) -> int:
@@ -205,10 +214,29 @@ class FiniteModule:
         return tuple(gens)
 
 
+class _LibraryModule(FiniteModule):
+    """A module whose rules the library derived from ring operations: the
+    carrier checks run on construction, the axiom check does not."""
+
+    _checks_axioms = False
+
+
+def _ideal_module(ring: Ring, points: Iterable[Any], label: str) -> FiniteModule:
+    """An ideal of the ring, acted on by the ring's own operations."""
+    return _LibraryModule(ring, points, ring._zero(), ring._add, ring._mul, label)
+
+
 def ring_module(ring: Ring, label: str = "R") -> FiniteModule:
     """The ring as a module over itself."""
-    points = [e.payload for e in ring.elements()]
-    return FiniteModule(ring, points, ring._zero(), ring._add, ring._mul, label)
+    return _ideal_module(ring, [e.payload for e in ring.elements()], label)
+
+
+def _tuple_rules(ring: Ring) -> tuple[Callable, Callable]:
+    """Componentwise add and scale on payload tuples, the rules of R^n and
+    of every tuple module the library builds inside it."""
+    add = lambda x, y: tuple(ring._add(a, b) for a, b in zip(x, y))
+    scale = lambda r, x: tuple(ring._mul(r, a) for a in x)
+    return add, scale
 
 
 def free_module(ring: Ring, rank: int, budget: int | None = None) -> FiniteModule:
@@ -221,64 +249,61 @@ def free_module(ring: Ring, rank: int, budget: int | None = None) -> FiniteModul
         raise BudgetExceeded(f"free module carrier of size {count} exceeds the budget")
     points = list(itertools.product(payloads, repeat=rank))
     zero = (ring._zero(),) * rank
-    add = lambda x, y: tuple(ring._add(a, b) for a, b in zip(x, y))
-    scale = lambda r, x: tuple(ring._mul(r, a) for a in x)
-    return FiniteModule(ring, points, zero, add, scale, f"R^{rank}")
+    return _LibraryModule(ring, points, zero, *_tuple_rules(ring), f"R^{rank}")
 
 
 def submodule_of_ring(ring: Ring, points: Iterable[Any], label: str) -> FiniteModule:
-    """A subset of the ring closed under addition and the ring action."""
+    """A caller's subset of the ring, verified closed under addition and the
+    ring action (the module axioms are checked)."""
     return FiniteModule(ring, points, ring._zero(), ring._add, ring._mul, label)
 
 
 def cyclic_submodule(d: RingElement) -> FiniteModule:
     """The principal ideal d*R as a module."""
-    ring = d.ring
-    seen = set()
-    points = []
-    for r in ring.elements():
-        p = (d * r).payload
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
-    return submodule_of_ring(ring, points, f"{d.literal()}R")
+    return _ideal_module(d.ring, _principal_ideal(d), f"{d.literal()}R")
 
 
 def annihilator_submodule(d: RingElement) -> FiniteModule:
     """ann(d) = everything d kills."""
     ring = d.ring
     points = [e.payload for e in ring.elements() if (d * e).is_zero()]
-    return submodule_of_ring(ring, points, f"ann({d.literal()})")
+    return _ideal_module(ring, points, f"ann({d.literal()})")
+
+
+def _quotient_module(
+    base: FiniteModule, submodule: Iterable[Any], label: str
+) -> FiniteModule:
+    """base/submodule on first-in-order coset representatives: base's rules
+    followed by the map to the representative."""
+    rep_of, reps = _coset_representatives(base.points, submodule, base.add)
+    add, scale = base.add, base.scale
+    return _LibraryModule(
+        base.ring,
+        reps,
+        rep_of[base.zero],
+        lambda x, y: rep_of[add(x, y)],
+        lambda r, x: rep_of[scale(r, x)],
+        label,
+    )
 
 
 def quotient_by_cyclic(d: RingElement) -> FiniteModule:
     """R/dR with first-in-order coset representatives."""
-    ring = d.ring
-    ideal = {(d * r).payload for r in ring.elements()}
-    rep_of: dict[Any, Any] = {}
-    reps = []
-    for e in ring.elements():
-        p = e.payload
-        if p in rep_of:
-            continue
-        reps.append(p)
-        for i in ideal:
-            rep_of[ring._add(p, i)] = p
-    add = lambda x, y: rep_of[ring._add(x, y)]
-    scale = lambda r, x: rep_of[ring._mul(r, x)]
-    return FiniteModule(
-        ring, reps, rep_of[ring._zero()], add, scale, f"R/{d.literal()}R"
+    return _quotient_module(
+        ring_module(d.ring), _principal_ideal(d), f"R/{d.literal()}R"
     )
 
 
 def direct_sum(left: FiniteModule, right: FiniteModule) -> FiniteModule:
+    """The external direct sum; both summands were checked where they were
+    built, so the sum is built without repeating the axiom check."""
     if left.ring != right.ring:
         raise MismatchedRings("direct sum needs a common base ring")
     points = [(a, b) for a in left.points for b in right.points]
     zero = (left.zero, right.zero)
     add = lambda x, y: (left.add(x[0], y[0]), right.add(x[1], y[1]))
     scale = lambda r, x: (left.scale(r, x[0]), right.scale(r, x[1]))
-    return FiniteModule(
+    return _LibraryModule(
         left.ring, points, zero, add, scale, f"{left.label}(+){right.label}"
     )
 
@@ -311,10 +336,7 @@ class ProjectiveModule:
         return all(t == 0 for t in self.multiplicities)
 
     def component_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        for e in self.basis.elements:
-            sizes.append(len({(e * r).payload for r in self.ring.elements()}))
-        return tuple(sizes)
+        return tuple(len(_principal_ideal(e)) for e in self.basis.elements)
 
     def carrier_cardinality(self) -> int:
         return prod(
@@ -351,19 +373,10 @@ def to_finite_module(
         )
     slot_domains: list[list[Any]] = []
     for e, t in zip(module.basis.elements, module.multiplicities):
-        members = []
-        seen = set()
-        for r in ring.elements():
-            p = (e * r).payload
-            if p not in seen:
-                seen.add(p)
-                members.append(p)
-        slot_domains.extend([members] * t)
+        slot_domains.extend([_principal_ideal(e)] * t)
     points = list(itertools.product(*slot_domains)) if slot_domains else [()]
     zero = (ring._zero(),) * len(slot_domains)
-    add = lambda x, y: tuple(ring._add(a, b) for a, b in zip(x, y))
-    scale = lambda r, x: tuple(ring._mul(r, a) for a in x)
-    return FiniteModule(ring, points, zero, add, scale, module.describe())
+    return _LibraryModule(ring, points, zero, *_tuple_rules(ring), module.describe())
 
 
 def projective_monoid(ring: Ring) -> tuple[MonoidPresentation, IdempotentBasis]:
@@ -538,7 +551,7 @@ def localize_at_element(
     In a finite commutative ring some power e of f is idempotent, and
     inverting f amounts to cutting down to the corner eR (f acts invertibly
     there).  A nilpotent f gives the zero localization."""
-    ring = module.ring if isinstance(module, ProjectiveModule) else module.ring
+    ring = module.ring
     ring._own(f)
     e = idempotent_power(f)
     factor = CornerRing(ring, e)
@@ -571,13 +584,7 @@ def localize_at_element(
         )
     else:
         ep = e.payload
-        seen_pts = set()
-        points = []
-        for x in module.points:
-            y = module.scale(ep, x)
-            if y not in seen_pts:
-                seen_pts.add(y)
-                points.append(y)
+        points = list(dict.fromkeys(module.scale(ep, x) for x in module.points))
         fp = f.payload
         images = {module.scale(fp, x) for x in points}
         if images != set(points):
@@ -621,43 +628,16 @@ def kernel_image_cokernel(
     act = _matrix_action(f)
     zero_domain = (ring._zero(),) * f.cols
     zero_codomain = (ring._zero(),) * f.rows
-    add_domain = lambda x, y: tuple(ring._add(a, b) for a, b in zip(x, y))
-    add_codomain = add_domain
-    scale_tuple = lambda r, x: tuple(ring._mul(r, a) for a in x)
-    kernel_points = []
-    image_points = []
-    image_seen = set()
-    for x in itertools.product(payloads, repeat=f.cols):
-        y = act(x)
-        if y == zero_codomain:
-            kernel_points.append(x)
-        if y not in image_seen:
-            image_seen.add(y)
-            image_points.append(y)
-    kernel = FiniteModule(
-        ring, kernel_points, zero_domain, add_domain, scale_tuple, "ker(f)"
-    )
-    image = FiniteModule(
-        ring, image_points, zero_codomain, add_codomain, scale_tuple, "im(f)"
-    )
+    add, scale = _tuple_rules(ring)
+    domain = list(itertools.product(payloads, repeat=f.cols))
+    images = [act(x) for x in domain]
+    kernel_points = [x for x, y in zip(domain, images) if y == zero_codomain]
+    image_points = list(dict.fromkeys(images))
+    kernel = _LibraryModule(ring, kernel_points, zero_domain, add, scale, "ker(f)")
+    image = _LibraryModule(ring, image_points, zero_codomain, add, scale, "im(f)")
     if len(kernel) * len(image) != size ** f.cols:
         raise AssertionError("|ker|*|im| != |R|^n; enumeration is broken")
-    rep_of: dict[tuple, tuple] = {}
-    reps = []
-    for y in itertools.product(payloads, repeat=f.rows):
-        if y in rep_of:
-            continue
-        reps.append(y)
-        for w in image_points:
-            rep_of[add_codomain(y, w)] = y
-    coker = FiniteModule(
-        ring,
-        reps,
-        rep_of[zero_codomain],
-        lambda x, y: rep_of[add_codomain(x, y)],
-        lambda r, x: rep_of[scale_tuple(r, x)],
-        "coker(f)",
-    )
+    coker = _quotient_module(free_module(ring, f.rows, cap), image_points, "coker(f)")
     return kernel, image, coker
 
 
@@ -705,49 +685,56 @@ class RankVerdict:
         return f"non-constant rank {self.localized_ranks}"
 
 
+def _compare_global_and_local(
+    ring: Ring,
+    bound: int,
+    localize: Callable[[ProjectiveModule], list[LocalizedView]],
+) -> tuple[int, int, Optional[str]]:
+    """For every pair of projectives with multiplicities up to the bound,
+    compare global isomorphism with isomorphism of all the localizations.
+    Returns (module count, pairs checked, first disagreement or None)."""
+    basis = primitive_idempotent_decomposition(ring)
+    vectors = list(itertools.product(range(bound + 1), repeat=len(basis)))
+    modules = {t: ProjectiveModule(ring, basis, t) for t in vectors}
+    views = {t: localize(modules[t]) for t in vectors}
+    checked = 0
+    for s in vectors:
+        for t in vectors:
+            checked += 1
+            global_iso = module_iso(modules[s], modules[t])
+            local_iso = all(
+                module_iso(a.result, b.result)
+                for a, b in zip(views[s], views[t])
+            )
+            if global_iso != local_iso:
+                return len(vectors), checked, (
+                    f"multiplicities {s} vs {t}:"
+                    f" global={global_iso} local={local_iso}"
+                )
+    return len(vectors), checked, None
+
+
 def local_global_verify(
     ring: Ring, bound: int, budget: int | None = None
 ) -> VerifierReport:
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
     M iso N must agree with rank equality at every maximal ideal."""
-    basis = primitive_idempotent_decomposition(ring)
-    k = len(basis)
-    vectors = list(itertools.product(range(bound + 1), repeat=k))
-    views = {}
-    for t in vectors:
-        module = ProjectiveModule(ring, basis, t)
-        views[t] = tuple(localize_at_maximal(module, i) for i in range(k))
-    checked = 0
-    for s in vectors:
-        for t in vectors:
-            checked += 1
-            global_iso = module_iso(
-                ProjectiveModule(ring, basis, s), ProjectiveModule(ring, basis, t)
-            )
-            local_iso = all(
-                module_iso(a.result, b.result)
-                for a, b in zip(views[s], views[t])
-            )
-            if global_iso != local_iso:
-                return VerifierReport(
-                    name="local-global",
-                    instance=f"{ring.descriptor()} bound={bound}",
-                    holds=False,
-                    checked=checked,
-                    counterexample=(
-                        f"multiplicities {s} vs {t}:"
-                        f" global={global_iso} local={local_iso}"
-                    ),
-                )
+    instance = f"{ring.descriptor()} bound={bound}"
+    count, checked, counterexample = _compare_global_and_local(
+        ring,
+        bound,
+        lambda m: [localize_at_maximal(m, i) for i in range(len(m.basis))],
+    )
+    holds = counterexample is None
+    summary = f"{count} modules, {len(maximal_ideals(ring))} maximal ideals"
     return VerifierReport(
         name="local-global",
-        instance=f"{ring.descriptor()} bound={bound}",
-        holds=True,
+        instance=instance,
+        holds=holds,
         checked=checked,
-        details=(
-            f"{len(vectors)} modules, {len(maximal_ideals(ring))} maximal ideals",
-        ),
+        details=(summary,) if holds else (),
+        counterexample=counterexample,
     )
 
 
@@ -778,50 +765,24 @@ def partition_of_unity_verify(
         raise ValueError(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
         )
-    basis = primitive_idempotent_decomposition(ring)
-    k = len(basis)
-    vectors = list(itertools.product(range(bound + 1), repeat=k))
-    views = {}
-    for t in vectors:
-        module = ProjectiveModule(ring, basis, t)
-        views[t] = tuple(localize_at_element(module, g) for g in gens)
-    checked = 0
-    for s in vectors:
-        for t in vectors:
-            checked += 1
-            global_iso = module_iso(
-                ProjectiveModule(ring, basis, s), ProjectiveModule(ring, basis, t)
-            )
-            local_iso = all(
-                module_iso(a.result, b.result)
-                for a, b in zip(views[s], views[t])
-            )
-            if global_iso != local_iso:
-                return VerifierReport(
-                    name="partition-of-unity",
-                    instance=(
-                        f"{ring.descriptor()} generators="
-                        f"{[g.literal() for g in gens]} bound={bound}"
-                    ),
-                    holds=False,
-                    checked=checked,
-                    counterexample=(
-                        f"multiplicities {s} vs {t}:"
-                        f" global={global_iso} local={local_iso}"
-                    ),
-                )
+    instance = (
+        f"{ring.descriptor()} generators={[g.literal() for g in gens]}"
+        f" bound={bound}"
+    )
+    _, checked, counterexample = _compare_global_and_local(
+        ring, bound, lambda m: [localize_at_element(m, g) for g in gens]
+    )
+    holds = counterexample is None
     combination = " + ".join(
         f"{g.literal()}*{r.literal()}" for g, r in zip(gens, witness)
     )
     return VerifierReport(
         name="partition-of-unity",
-        instance=(
-            f"{ring.descriptor()} generators={[g.literal() for g in gens]}"
-            f" bound={bound}"
-        ),
-        holds=True,
+        instance=instance,
+        holds=holds,
         checked=checked,
-        details=(f"unit combination: {combination} = 1",),
+        details=(f"unit combination: {combination} = 1",) if holds else (),
+        counterexample=counterexample,
     )
 
 
@@ -882,10 +843,12 @@ def diagonal_refinement_check(
     unit_module = ring_module(ring)
     details = []
     checked = 0
+    factor_sizes = []
     for j, d in enumerate(diag):
         K = annihilator_submodule(d)
         I = cyclic_submodule(d)
         C = quotient_by_cyclic(d)
+        factor_sizes.append((len(K), len(I), len(C)))
         ok_kernel = module_iso(direct_sum(K, I), unit_module, budget)
         ok_cokernel = module_iso(direct_sum(C, I), unit_module, budget)
         checked += 2
@@ -915,13 +878,9 @@ def diagonal_refinement_check(
         details.append("cardinality cross-check skipped (carrier over budget)")
     else:
         size = ring.cardinality()
-        expect_ker = prod(
-            len(annihilator_submodule(d)) for d in diag
-        ) * size ** (f.cols - r)
-        expect_im = prod(len(cyclic_submodule(d)) for d in diag)
-        expect_coker = prod(
-            len(quotient_by_cyclic(d)) for d in diag
-        ) * size ** (f.rows - r)
+        expect_ker = prod(k for k, _, _ in factor_sizes) * size ** (f.cols - r)
+        expect_im = prod(i for _, i, _ in factor_sizes)
+        expect_coker = prod(c for _, _, c in factor_sizes) * size ** (f.rows - r)
         if (len(kernel), len(image), len(coker)) != (
             expect_ker,
             expect_im,
@@ -957,12 +916,14 @@ def _all_matrices(ring: Ring, rows: int, cols: int) -> Iterable[RingMatrix]:
 
 def _verify_small_shapes(
     ring: Ring, budget: int | None, project=None, quotient: Ring | None = None
-) -> tuple[int, int, list[str]]:
+) -> tuple[int, int, list[str], Optional[RingMatrix]]:
     """Reduce every matrix of the small shapes over the ring (each witness is
     verified by ``diagonal_reduction``) and count the regular ones (all
     diagonal entries regular); optionally verify that projecting each regular
     matrix's reduction through the radical yields a reduction over the
-    quotient.  Returns (matrices seen, regular count, per-shape notes)."""
+    quotient.  Returns (matrices seen, regular count, per-shape notes, the
+    first matrix whose projected reduction fails or None); the sweep stops at
+    that matrix."""
     shapes = [(1, 1), (1, 2), (2, 1)]
     if ring.cardinality() ** 4 <= element_budget(budget):
         shapes.append((2, 2))
@@ -994,13 +955,11 @@ def _verify_small_shapes(
                     D=red.D.map_entries(quotient, project),
                 )
                 if not verify_reduction(mat.map_entries(quotient, project), mapped):
-                    raise AssertionError(
-                        "projected reduction is not a reduction over the quotient"
-                    )
+                    return seen + shape_total, regular_count + shape_regular, notes, mat
         seen += shape_total
         regular_count += shape_regular
         notes.append(f"shape {rows}x{cols}: {shape_regular}/{shape_total} regular")
-    return seen, regular_count, notes
+    return seen, regular_count, notes, None
 
 
 def cancellation_and_reduction_verify(
@@ -1021,7 +980,7 @@ def cancellation_and_reduction_verify(
         for v in itertools.product(range(bound + 1), repeat=k)
     ]
     cancel = cancellation_law_check(unit, candidates)
-    seen, regular_count, notes = _verify_small_shapes(ring, budget)
+    seen, regular_count, notes, _ = _verify_small_shapes(ring, budget)
     holds = cancel.holds
     details = [
         f"cancellation pairs checked: {cancel.pairs_checked}",
@@ -1052,22 +1011,31 @@ def jacobson_lift_verify(ring: Ring, budget: int | None = None) -> VerifierRepor
             f"reduction verification needs a modular ring, got {ring.descriptor()}"
         )
     radical, quotient, project = jacobson_radical_and_quotient(ring)
-    seen_q, regular_q, notes_q = _verify_small_shapes(quotient, budget)
-    seen_r, regular_r, notes_r = _verify_small_shapes(
+    seen_q, regular_q, notes_q, _ = _verify_small_shapes(quotient, budget)
+    seen_r, regular_r, notes_r, bad = _verify_small_shapes(
         ring, budget, project=project, quotient=quotient
     )
+    outcome = "all reduced and projected" if bad is None else "stopped at a failure"
     details = [
         f"radical: {{{', '.join(str(a.literal()) for a in radical)}}}",
         f"quotient: {quotient.descriptor()}",
         f"over quotient: {regular_q}/{seen_q} regular, all reduced",
-        f"over ring: {regular_r}/{seen_r} regular, all reduced and projected",
+        f"over ring: {regular_r}/{seen_r} regular, {outcome}",
     ]
     details.extend(f"quotient {n}" for n in notes_q)
     details.extend(f"ring {n}" for n in notes_r)
     return VerifierReport(
         name="jacobson-lift",
         instance=ring.descriptor(),
-        holds=True,
+        holds=bad is None,
         checked=seen_q + seen_r,
         details=tuple(details),
+        counterexample=(
+            None
+            if bad is None
+            else f"{bad.rows}x{bad.cols} matrix"
+            f" {[[e.literal() for e in row] for row in bad.row_list()]}:"
+            f" its projected reduction is not a reduction over"
+            f" {quotient.descriptor()}"
+        ),
     )

@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, MismatchedRings, UnsupportedRing, element_budget
 
@@ -695,6 +695,30 @@ class TrivialExtensionRing(Ring):
         return inv
 
 
+def _principal_ideal(e: RingElement) -> list[Any]:
+    """The payloads of ``e*R`` in first-seen order over the ring's
+    enumeration."""
+    ring, ep = e.ring, e.payload
+    return list(dict.fromkeys(ring._mul(ep, r.payload) for r in ring.elements()))
+
+
+def _coset_representatives(
+    points: Iterable[Any], ideal: Iterable[Any], add: Callable[[Any, Any], Any]
+) -> tuple[dict[Any, Any], list[Any]]:
+    """First-in-order coset representatives of ``points`` modulo ``ideal``:
+    the map from each point to its coset's representative, and the
+    representatives in order.  ``ideal`` must be re-iterable."""
+    rep_of: dict[Any, Any] = {}
+    reps = []
+    for p in points:
+        if p in rep_of:
+            continue
+        reps.append(p)
+        for i in ideal:
+            rep_of[add(p, i)] = p
+    return rep_of, reps
+
+
 class CornerRing(Ring):
     """The unital subring ``e*R`` of a finite ring, with identity ``e``.
 
@@ -710,15 +734,8 @@ class CornerRing(Ring):
             raise ValueError(f"{e!r} is not idempotent")
         self.ambient = ambient
         self.unit_element = e
-        members: list[Any] = []
-        seen = set()
-        for r in ambient.elements():
-            p = (e * r).payload
-            if p not in seen:
-                seen.add(p)
-                members.append(p)
-        self._members = tuple(members)
-        self._member_set = seen
+        self._members = tuple(_principal_ideal(e))
+        self._member_set = frozenset(self._members)
         literal = json.dumps(ambient._payload_literal(e.payload))
         self._descriptor = f"corner({ambient.descriptor()}, {literal})"
 
@@ -788,14 +805,9 @@ class QuotientRing(Ring):
             for r in base.elements():
                 if (a * r).payload not in self.ideal:
                     raise ValueError("ideal does not absorb ring multiplication")
-        rep: dict = {}
-        order = []
-        for elt in base.elements():
-            if elt.payload in rep:
-                continue
-            order.append(elt.payload)
-            for j in self.ideal:
-                rep[base._add(elt.payload, j)] = elt.payload
+        rep, order = _coset_representatives(
+            (e.payload for e in base.elements()), self.ideal, base._add
+        )
         self._rep = rep
         self._reps = tuple(order)
         ideal_literals = sorted(

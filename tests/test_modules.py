@@ -23,6 +23,7 @@ from ringlab import (
     free_module,
     free_projective,
     jacobson_lift_verify,
+    jacobson_radical_and_quotient,
     kernel_image_cokernel,
     local_global_verify,
     localize_at_element,
@@ -390,3 +391,18 @@ def test_jacobson_lift_verify():
     report = jacobson_lift_verify(Z6)
     assert report.holds
     assert any("{0}" in d for d in report.details)
+
+
+def test_jacobson_lift_reports_a_wrong_projection(monkeypatch):
+    radical, quotient, _ = jacobson_radical_and_quotient(Z4)
+    wrong = lambda a: quotient.zero()  # sends every unit to 0
+    monkeypatch.setattr(
+        "ringlab.modules.jacobson_radical_and_quotient",
+        lambda ring: (radical, quotient, wrong),
+    )
+    report = jacobson_lift_verify(Z4)
+    assert not report.holds
+    assert report.counterexample == (
+        "1x1 matrix [[0]]: its projected reduction is not a reduction over gf(2)"
+    )
+    assert "stopped at a failure" in report.details[3]
