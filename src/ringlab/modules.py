@@ -720,7 +720,6 @@ def local_global_verify(
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
     M iso N must agree with rank equality at every maximal ideal."""
-    instance = f"{ring.descriptor()} bound={bound}"
     count, checked, counterexample = _compare_global_and_local(
         ring,
         bound,
@@ -730,7 +729,7 @@ def local_global_verify(
     summary = f"{count} modules, {len(maximal_ideals(ring))} maximal ideals"
     return VerifierReport(
         name="local-global",
-        instance=instance,
+        instance=f"{ring.descriptor()} bound={bound}",
         holds=holds,
         checked=checked,
         details=(summary,) if holds else (),
@@ -765,10 +764,6 @@ def partition_of_unity_verify(
         raise ValueError(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
         )
-    instance = (
-        f"{ring.descriptor()} generators={[g.literal() for g in gens]}"
-        f" bound={bound}"
-    )
     _, checked, counterexample = _compare_global_and_local(
         ring, bound, lambda m: [localize_at_element(m, g) for g in gens]
     )
@@ -778,7 +773,10 @@ def partition_of_unity_verify(
     )
     return VerifierReport(
         name="partition-of-unity",
-        instance=instance,
+        instance=(
+            f"{ring.descriptor()} generators={[g.literal() for g in gens]}"
+            f" bound={bound}"
+        ),
         holds=holds,
         checked=checked,
         details=(f"unit combination: {combination} = 1",) if holds else (),
