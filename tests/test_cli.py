@@ -247,6 +247,14 @@ def test_verify_matches_recorded_golden(capsys, name):
     assert out == golden["stdout"]
 
 
+@pytest.mark.parametrize("name", ["ex31", "ex33", "ex34"])
+def test_counterexample_matches_recorded_golden(capsys, name):
+    golden = GOLDENS[name]
+    code, out = run(capsys, *golden["argv"])
+    assert code == golden["exit"]
+    assert out == golden["stdout"]
+
+
 def test_verify_output_is_stable(capsys):
     _, first = run(capsys, "verify", "--ring", "modular(4)", "--bound", "2")
     _, second = run(capsys, "verify", "--ring", "modular(4)", "--bound", "2")
