@@ -1,5 +1,7 @@
 """Bounded refutation searches: non-principal ideals and a non-Hermite row."""
 
+import itertools
+
 import pytest
 
 from ringlab import (
@@ -169,3 +171,127 @@ def test_searches_are_deterministic():
     x = bounded_principality_check([Z4X.make(2), Z4X.gen()], 2)
     y = bounded_principality_check([Z4X.make(2), Z4X.gen()], 2)
     assert x == y
+
+
+# ---------------------------------------------------------------------------
+# the search against the wrapper-level algorithm it replaced
+
+
+def _reference_principality_check(generators, bound):
+    """The element-level search the library used before it moved to
+    payloads: every cofactor combination is summed on RingElement wrappers,
+    and each cofactor is found with ``g * c == f``."""
+    ring = generators[0].ring
+    if isinstance(ring, PolynomialRing):
+        degree_of, enumerate_up_to = ring.degree, ring.elements_up_to_degree
+    else:
+        degree_of = ring.total_degree
+        enumerate_up_to = ring.elements_up_to_total_degree
+    for f in generators:
+        if not f.is_zero() and degree_of(f) > bound:
+            raise ValueError(
+                f"generator {f.literal()} exceeds the degree bound {bound}"
+            )
+    candidates = list(enumerate_up_to(bound))
+    products = [[f * h for h in candidates] for f in generators]
+    members = {}
+    for combo in itertools.product(range(len(candidates)), repeat=len(generators)):
+        total = ring.zero()
+        for row, idx in zip(products, combo):
+            total = total + row[idx]
+        if total.payload not in members:
+            members[total.payload] = combo
+    examined = 0
+    for g in candidates:
+        if g.is_zero() or g.payload not in members:
+            continue
+        examined += 1
+        cofactors = []
+        for f in generators:
+            match = next((c for c in candidates if g * c == f), None)
+            if match is None:
+                break
+            cofactors.append(match)
+        if len(cofactors) != len(generators):
+            continue
+        combination = tuple(candidates[i] for i in members[g.payload])
+        return PrincipalWitness(g, tuple(cofactors), combination)
+    return NotPrincipalUpTo(bound, examined)
+
+
+def _outcome(search, generators, bound):
+    try:
+        return search(generators, bound)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+Z4X_DIFF = PolynomialRing(ModularRing(4))
+Z6X_DIFF = PolynomialRing(ModularRing(6))
+F3XY = BivariatePolynomialRing(PrimeField(3), bound=1)
+
+
+def _differential_cases():
+    X = Z4X_DIFF.gen()
+    two = Z4X_DIFF.make(2)
+    gx2, gy2 = F2XY.gens()
+    gx3, gy3 = F3XY.gens()
+    cases = [("Z4[X] (2, X)", [two, X], d) for d in (1, 2, 3)]
+    for label, gens in (
+        ("Z4[X] (2, 2X)", [two, Z4X_DIFF.make([0, 2])]),
+        ("Z4[X] (2)", [two]),
+        ("Z4[X] (X, X^2)", [X, X * X]),
+        ("Z4[X] (2, X+2)", [two, X + two]),
+    ):
+        cases += [(label, gens, d) for d in (1, 2)]
+    cases += [
+        ("Z6[X] (2, 3)", [Z6X_DIFF.make(2), Z6X_DIFF.make(3)], 2),
+        ("F2[X,Y] (X, Y)", [gx2, gy2], 2),
+        ("F2[X,Y] (X, X^2)", [gx2, gx2 * gx2], 2),
+        ("F3[X,Y] (X, Y)", [gx3, gy3], 1),
+    ]
+    return cases
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+
+
+@pytest.mark.parametrize(
+    "generators,bound",
+    [case[1:] for case in DIFFERENTIAL_CASES],
+    ids=[f"{case[0]} deg<={case[2]}" for case in DIFFERENTIAL_CASES],
+)
+def test_search_matches_the_wrapper_level_reference(generators, bound):
+    assert _outcome(bounded_principality_check, generators, bound) == _outcome(
+        _reference_principality_check, generators, bound
+    )
+
+
+def test_differential_cases_include_nontrivial_witnesses():
+    # (2, 3) is the unit ideal of Z/6[X]: the witness 1 = 2*2 + 3*1 has a
+    # nonzero cofactor on every generator, so the first-combination
+    # bookkeeping is exercised, not just the trivial (1, 0) combination
+    verdict = bounded_principality_check([Z6X_DIFF.make(2), Z6X_DIFF.make(3)], 2)
+    assert verdict.generator == Z6X_DIFF.one()
+    assert [c.literal() for c in verdict.cofactors] == [[2], [3]]
+    assert [h.literal() for h in verdict.combination] == [[2], [1]]
+
+
+# ---------------------------------------------------------------------------
+# the budget counts nominal cofactor combinations
+
+
+def test_budget_one_below_the_combination_count_raises():
+    # 256 candidates of degree <= 3 over Z/4, two generators: 256**2 = 65536
+    with pytest.raises(BudgetExceeded) as info:
+        bounded_principality_check([Z4X.make(2), Z4X.gen()], 3, budget=65535)
+    assert str(info.value) == (
+        "65536 cofactor combinations exceed the search budget 65535"
+    )
+
+
+def test_budget_equal_to_the_combination_count_runs():
+    generators = [Z4X.make(2), Z4X.gen()]
+    verdict = bounded_principality_check(generators, 3, budget=65536)
+    assert verdict == bounded_principality_check(generators, 3)
+    assert verdict == NotPrincipalUpTo(3, 127)

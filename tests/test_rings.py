@@ -410,3 +410,96 @@ def test_literal_round_trip(data):
 @given(st.integers(-50, 50), st.integers(0, 6))
 def test_integer_powers(base, exp):
     assert Z.make(base) ** exp == Z.make(base**exp)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial payload kernel against plain coefficient arithmetic
+
+
+def _mod(n):
+    return list(range(n)), 0, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n
+
+
+def _dual_numbers_mod_3():
+    coeffs = [(r, m) for r in range(3) for m in range(3)]
+    add = lambda a, b: ((a[0] + b[0]) % 3, (a[1] + b[1]) % 3)
+    mul = lambda a, b: ((a[0] * b[0]) % 3, (a[0] * b[1] + a[1] * b[0]) % 3)
+    return coeffs, (0, 0), add, mul
+
+
+# base ring -> (coefficient payloads, zero, plain add, plain multiply)
+KERNEL_BASES = {
+    "modular(4)": (ModularRing(4), _mod(4)),
+    "modular(6)": (Z6, _mod(6)),
+    "gf(7)": (PrimeField(7), _mod(7)),
+    "trivial(modular(3))": (TrivialExtensionRing(ModularRing(3)), _dual_numbers_mod_3()),
+}
+
+
+def _trimmed(coeffs, zero):
+    while coeffs and coeffs[-1] == zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    name = draw(st.sampled_from(sorted(KERNEL_BASES)))
+    _, (coeffs, zero, _, _) = KERNEL_BASES[name]
+    nonzero = [c for c in coeffs if c != zero]
+
+    def poly():
+        # degree -1 is the zero polynomial (the empty tuple); otherwise the
+        # leading coefficient is any nonzero one, zero divisors included
+        degree = draw(st.integers(-1, 4))
+        if degree < 0:
+            return ()
+        body = draw(st.lists(st.sampled_from(coeffs), min_size=degree, max_size=degree))
+        return tuple(body) + (draw(st.sampled_from(nonzero)),)
+
+    return name, poly(), poly()
+
+
+def _reference_add(x, y, zero, add):
+    n = max(len(x), len(y))
+    x = list(x) + [zero] * (n - len(x))
+    y = list(y) + [zero] * (n - len(y))
+    return _trimmed([add(a, b) for a, b in zip(x, y)], zero)
+
+
+def _reference_mul(x, y, zero, add, mul):
+    if not x or not y:
+        return ()
+    out = [zero] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = add(out[i + j], mul(a, b))
+    return _trimmed(out, zero)
+
+
+@given(polynomial_pairs())
+def test_polynomial_kernel_matches_coefficient_convolution(data):
+    name, x, y = data
+    base, (_, zero, add, mul) = KERNEL_BASES[name]
+    ring = PolynomialRing(base)
+    assert ring._add(x, y) == _reference_add(x, y, zero, add)
+    assert ring._mul(x, y) == _reference_mul(x, y, zero, add, mul)
+
+
+@pytest.mark.parametrize(
+    "name,x,y",
+    [
+        ("modular(4)", (2,), (2,)),  # 2 * 2 = 0: the product trims to zero
+        ("modular(4)", (1, 2), (3, 2)),  # leading 2 * 2 vanishes
+        ("modular(6)", (0, 3), (1, 2)),
+        ("modular(6)", (1, 3), (5, 3)),  # sum trims two coefficients
+        ("gf(7)", (), (3, 1)),
+        ("trivial(modular(3))", ((0, 1),), ((0, 2), (0, 1))),  # e * e = 0
+        ("trivial(modular(3))", ((1, 0), (0, 1)), ((2, 0), (0, 2))),
+    ],
+)
+def test_polynomial_kernel_on_zero_divisor_leads(name, x, y):
+    base, (_, zero, add, mul) = KERNEL_BASES[name]
+    ring = PolynomialRing(base)
+    assert ring._add(x, y) == _reference_add(x, y, zero, add)
+    assert ring._mul(x, y) == _reference_mul(x, y, zero, add, mul)
