@@ -78,10 +78,14 @@ def bounded_principality_check(
     """Search for one element generating the same ideal as ``generators``,
     all degrees capped at ``bound``.
 
-    Membership of a candidate g in the ideal is decided against the full set
-    of combinations sum(f_i * h_i) with cofactor degrees <= bound, enumerated
-    once; the reverse inclusion demands each f_i = g * c_i with deg(c_i) <=
-    bound.  Returns a verified PrincipalWitness or NotPrincipalUpTo."""
+    Membership of a candidate g in the ideal is decided against the set of
+    combinations sum(f_i * h_i) with cofactor degrees <= bound.  The search
+    runs over each generator's distinct products f_i * h_i, each kept with
+    its first cofactor in candidate order, and gives the same witnesses as
+    enumerating every combination; the budget still counts every
+    combination.  The reverse inclusion demands each f_i = g * c_i with
+    deg(c_i) <= bound.  Returns a verified PrincipalWitness or
+    NotPrincipalUpTo."""
     if not generators:
         raise ValueError("need at least one ideal generator")
     ring = generators[0].ring
@@ -93,46 +97,56 @@ def bounded_principality_check(
             raise ValueError(
                 f"generator {f.literal()} exceeds the degree bound {bound}"
             )
-    candidates = list(enumerate_up_to(bound))
+    candidates = [h.payload for h in enumerate_up_to(bound)]
     combo_count = len(candidates) ** len(generators)
     cap = search_budget(budget)
     if combo_count > cap:
         raise BudgetExceeded(
             f"{combo_count} cofactor combinations exceed the search budget {cap}"
         )
-    products = [[f * h for h in candidates] for f in generators]
+    add, mul, zero = ring._add, ring._mul, ring._zero()
+    targets = [f.payload for f in generators]
+    # Row i maps each distinct product f_i * h to the index of its first h.
+    # A lexicographically first combination for a sum uses first indices
+    # only, so enumerating these rows in product order finds it.
+    rows = []
+    for f in targets:
+        first: dict = {}
+        for i, h in enumerate(candidates):
+            first.setdefault(mul(f, h), i)
+        rows.append(list(first.items()))
     members: dict = {}
-    for combo in itertools.product(range(len(candidates)), repeat=len(generators)):
-        total = ring.zero()
-        for row, idx in zip(products, combo):
-            total = total + row[idx]
-        if total.payload not in members:
-            members[total.payload] = combo
+    for combo in itertools.product(*rows):
+        total = zero
+        for product, _ in combo:
+            total = add(total, product)
+        if total not in members:
+            members[total] = tuple(i for _, i in combo)
     examined = 0
     for g in candidates:
-        if g.is_zero():
-            continue
-        if g.payload not in members:
+        if g == zero or g not in members:
             continue
         examined += 1
         cofactors = []
-        for f in generators:
-            match = next((c for c in candidates if g * c == f), None)
+        for f in targets:
+            match = next((c for c in candidates if mul(g, c) == f), None)
             if match is None:
                 break
             cofactors.append(match)
         if len(cofactors) != len(generators):
             continue
-        combination = tuple(candidates[i] for i in members[g.payload])
+        generator = RingElement(ring, g)
+        cofactors = tuple(RingElement(ring, c) for c in cofactors)
+        combination = tuple(RingElement(ring, candidates[i]) for i in members[g])
         recombined = ring.zero()
         for f, h in zip(generators, combination):
             recombined = recombined + f * h
-        if recombined != g:
+        if recombined != generator:
             raise AssertionError("combination witness failed; this is a bug")
         for f, c in zip(generators, cofactors):
-            if g * c != f:
+            if generator * c != f:
                 raise AssertionError("cofactor witness failed; this is a bug")
-        return PrincipalWitness(g, tuple(cofactors), combination)
+        return PrincipalWitness(generator, cofactors, combination)
     return NotPrincipalUpTo(bound, examined)
 
 

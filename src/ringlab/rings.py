@@ -351,9 +351,10 @@ class PolynomialRing(Ring):
     def _add(self, x: tuple, y: tuple) -> tuple:
         if len(x) < len(y):
             x, y = y, x
+        add = self.base._add
         merged = list(x)
         for i, c in enumerate(y):
-            merged[i] = self.base._add(merged[i], c)
+            merged[i] = add(merged[i], c)
         return self._trim(merged)
 
     def _neg(self, x: tuple) -> tuple:
@@ -362,13 +363,14 @@ class PolynomialRing(Ring):
     def _mul(self, x: tuple, y: tuple) -> tuple:
         if not x or not y:
             return ()
-        zero = self.base._zero()
+        base = self.base
+        add, mul, zero = base._add, base._mul, base._zero()
         out = [zero] * (len(x) + len(y) - 1)
         for i, a in enumerate(x):
             if a == zero:
                 continue
-            for j, b in enumerate(y):
-                out[i + j] = self.base._add(out[i + j], self.base._mul(a, b))
+            for j, b in enumerate(y, i):
+                out[j] = add(out[j], mul(a, b))
         return self._trim(out)
 
     def _zero(self) -> tuple:
