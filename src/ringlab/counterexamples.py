@@ -114,7 +114,7 @@ def bounded_principality_check(
         first: dict = {}
         for i, h in enumerate(candidates):
             first.setdefault(mul(f, h), i)
-        rows.append(list(first.items()))
+        rows.append(first.items())
     members: dict = {}
     for combo in itertools.product(*rows):
         total = zero
