@@ -19,12 +19,10 @@ import argparse
 import contextlib
 import itertools
 import json
-import random
 import sys
 from typing import Iterator, Optional, Sequence
 
 from .counterexamples import (
-    NotPrincipalUpTo,
     PrincipalWitness,
     bounded_principality_check,
     trivial_extension_hermite_search,
@@ -41,14 +39,13 @@ from .monoids import (
     EqResult,
     MonoidPresentation,
     cancellation_law_check,
-    conical_check,
     normalize_and_eq,
     refine,
 )
 from .modules import (
     ProjectiveModule,
     cancellation_and_reduction_verify,
-    diagonal_refinement_check,
+    decomposition_verify,
     jacobson_lift_verify,
     local_global_verify,
     localize_at_element,
@@ -57,15 +54,14 @@ from .modules import (
     partition_of_unity_verify,
     projective_module,
     projective_monoid,
+    refinement_verify,
 )
 from .rings import (
     BivariatePolynomialRing,
-    IntegerRing,
     ModularRing,
     PolynomialRing,
     PrimeField,
     Ring,
-    is_regular_element,
     parse_ring,
 )
 
@@ -191,6 +187,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_cancellation(args: argparse.Namespace) -> int:
+    if args.max_entry < 0:
+        raise ValueError("--max-entry must be nonnegative")
     pres = _presentation_from_args(args)
     unit = pres.element(_parse_exponents(args.unit))
     k = pres.generator_count
@@ -250,42 +248,6 @@ def _default_partition_generators(ring: Ring) -> list:
     return [e, ring.one() - e]
 
 
-def _refinement_report_lines(ring: Ring, splittings: int, bound: int) -> list[str]:
-    presentation, basis = projective_monoid(ring)
-    lines = [
-        f"check=refinement instance={ring.descriptor()}"
-        f" monoid={presentation.describe()}"
-    ]
-    generators = [
-        presentation.element(
-            tuple(1 if j == i else 0 for j in range(len(basis)))
-        )
-        for i in range(len(basis))
-    ]
-    conical = conical_check(generators)
-    rng = random.Random(0)
-    k = presentation.generator_count
-    failures = 0
-    for _ in range(splittings):
-        grid = [
-            tuple(rng.randint(0, 10) for _ in range(k)) for _ in range(4)
-        ]
-        z11, z12, z21, z22 = (presentation.element(g) for g in grid)
-        x1, x2 = z11 + z12, z21 + z22
-        y1, y2 = z11 + z21, z12 + z22
-        witness = refine(x1, x2, y1, y2, bound=max(20, bound))
-        if witness is None:
-            failures += 1
-            continue
-        if witness.row_sums() != (x1, x2) or witness.column_sums() != (y1, y2):
-            failures += 1
-    holds = conical and failures == 0
-    lines[0] += f" verdict={'holds' if holds else 'violated'} checked={splittings}"
-    lines.append(f"  free={presentation.is_free} conical={conical}")
-    lines.append(f"  splittings refined: {splittings - failures}/{splittings}")
-    return lines if holds else lines + ["  counterexample: a splitting failed"]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     ring = parse_ring(args.ring)
     if not isinstance(ring, ModularRing):
@@ -293,44 +255,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"the verify suite runs over modular rings, got {ring.descriptor()}"
         )
     bound = args.bound
-    failures = 0
-    lines = _refinement_report_lines(ring, splittings=100, bound=bound)
-    if "verdict=violated" in lines[0]:
-        failures += 1
-    for line in lines:
-        print(line)
-    reports = [local_global_verify(ring, bound)]
     if args.generators is not None:
         gens = [
             _parse_element(ring, part) for part in args.generators.split(",")
         ]
     else:
         gens = _default_partition_generators(ring)
-    reports.append(partition_of_unity_verify(ring, gens, min(bound, 2)))
-    reports.append(cancellation_and_reduction_verify(ring, bound))
-    reports.append(jacobson_lift_verify(ring))
+    reports = [
+        refinement_verify(ring, 100, bound),
+        local_global_verify(ring, bound),
+        partition_of_unity_verify(ring, gens, min(bound, 2)),
+        cancellation_and_reduction_verify(ring, bound),
+        jacobson_lift_verify(ring),
+        decomposition_verify(ring),
+    ]
     for report in reports:
         for line in report.lines():
             print(line)
-        if not report.holds:
-            failures += 1
-    decomposition_checked = 0
-    decomposition_failures = 0
-    for a in ring.elements():
-        regular, _ = is_regular_element(a)
-        if not regular:
-            continue
-        decomposition_checked += 1
-        rep = diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]]))
-        if not rep.holds:
-            decomposition_failures += 1
-    verdict = "holds" if decomposition_failures == 0 else "violated"
-    print(
-        f"check=decomposition instance={ring.descriptor()} regular 1x1"
-        f" verdict={verdict} checked={decomposition_checked}"
-    )
-    if decomposition_failures:
-        failures += 1
+    failures = sum(not report.holds for report in reports)
     print(f"result={'pass' if failures == 0 else 'violation'}")
     return PASS if failures == 0 else VIOLATION
 

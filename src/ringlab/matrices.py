@@ -6,7 +6,9 @@ together with explicit invertible transforms and their inverses, so every
 reduction can be re-verified by plain matrix multiplication.
 ``diagonal_reduction`` handles modular rings by lifting to the integers,
 reducing there, and mapping everything back; determinant-one transforms
-stay invertible under the projection.
+stay invertible under the projection.  ``reduce_matrix`` dispatches between
+the two by ring kind and serves every shape, 1x2 rows and 2x1 columns
+included.
 
 Diagonal entries are canonical associates (nonnegative integers, monic
 polynomials, or the mod-n image of the lifted form), zeros sit at the end,
@@ -16,7 +18,6 @@ and each entry divides the next.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -243,8 +244,7 @@ def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
 class _ReductionState:
     """Mutable matrix plus transform accumulators, all on raw payloads."""
 
-    def __init__(self, ring: Ring, ops: EuclideanOps, grid: list[list[Any]]) -> None:
-        self.ring = ring
+    def __init__(self, ops: EuclideanOps, grid: list[list[Any]]) -> None:
         self.ops = ops
         self.M = [row[:] for row in grid]
         self.m = len(grid)
@@ -473,7 +473,7 @@ def _smith_core(ring: Ring, A: RingMatrix) -> _ReductionState:
     point verifies the one reduction it returns."""
     payloads = A.payloads()
     grid = [payloads[i : i + A.cols] for i in range(0, len(payloads), A.cols)]
-    state = _ReductionState(ring, EuclideanOps(ring), grid)
+    state = _ReductionState(EuclideanOps(ring), grid)
     for k in range(min(state.m, state.n)):
         pivot = _find_pivot(state, k)
         if pivot is None:
@@ -535,59 +535,6 @@ def reduce_matrix(A: RingMatrix) -> DiagonalReduction:
     if isinstance(A.ring, ModularRing):
         return diagonal_reduction(A)
     return smith_normal_form(A)
-
-
-def hermite_reduce(v: RingMatrix) -> DiagonalReduction:
-    """Reduce a 1x2 row (d 0) or 2x1 column (d 0)^T with a determinant-one
-    transform built from one Bezout identity."""
-    ring = v.ring
-    if (v.rows, v.cols) not in ((1, 2), (2, 1)):
-        raise ValueError("hermite_reduce expects a 1x2 or 2x1 matrix")
-    if isinstance(ring, ModularRing):
-        lift_ring: Ring = IntegerRing()
-        lift = [e.payload for e in v.entries]
-        back: Callable[[Any], Any] = lambda x: x % ring.modulus
-        ops = EuclideanOps(lift_ring)
-    else:
-        ops = EuclideanOps(ring)
-        lift = [e.payload for e in v.entries]
-        back = lambda x: x
-    a, b = lift
-    d, s, t = ops.egcd(a, b)
-    if ops.is_zero(d):
-        # both entries zero; identity transform suffices
-        two_by_two = [[ops.one(), ops.zero()], [ops.zero(), ops.one()]]
-        two_inv = [[ops.one(), ops.zero()], [ops.zero(), ops.one()]]
-    else:
-        ab, bb = ops.exact_div(a, d), ops.exact_div(b, d)
-        two_by_two = [[s, ops.neg(bb)], [t, ab]]
-        two_inv = [[ab, bb], [ops.neg(t), s]]
-    one_by_one = [[ops.one()]]
-
-    def wrap(grid: list[list[Any]]) -> RingMatrix:
-        flat = [back(x) for row in grid for x in row]
-        return RingMatrix._from_payloads(ring, len(grid), len(grid[0]), flat)
-
-    if v.rows == 1:
-        red = DiagonalReduction(
-            P=wrap(one_by_one),
-            P_inv=wrap(one_by_one),
-            Q=wrap(two_by_two),
-            Q_inv=wrap(two_inv),
-            D=wrap([[d, ops.zero()]]),
-        )
-    else:
-        transpose = lambda g: [list(col) for col in zip(*g)]
-        red = DiagonalReduction(
-            P=wrap(transpose(two_by_two)),
-            P_inv=wrap(transpose(two_inv)),
-            Q=wrap(one_by_one),
-            Q_inv=wrap(one_by_one),
-            D=wrap([[d], [ops.zero()]]),
-        )
-    if not verify_reduction(v, red):
-        raise AssertionError("hermite reduction verification failed; this is a bug")
-    return red
 
 
 def is_total_divisor(a: RingElement, b: RingElement) -> bool:

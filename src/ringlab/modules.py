@@ -8,10 +8,12 @@ points explicitly, so kernels, images, cokernels, and brute-force isomorphism
 searches all run by enumeration.
 
 The verifiers at the bottom each check one structural statement about these
-modules (local-global detection of isomorphism, partitions of unity, constant
-rank implying free, cancellation plus diagonal reduction, lifting reductions
-through the radical) and return a ``VerifierReport`` with counts and, on
-failure, a counterexample payload.
+modules (refinement in the projective-class monoid, local-global detection of
+isomorphism, partitions of unity, constant rank implying free, cancellation
+plus diagonal reduction, lifting reductions through the radical, the
+decomposition behind each regular 1x1 matrix) and return a ``VerifierReport``
+with counts and, on failure, a counterexample payload.  Every section of
+``ringlab verify`` is one of these reports.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .matrices import (
     is_regular_matrix,
     verify_reduction,
 )
-from .monoids import MonoidPresentation, cancellation_law_check
+from .monoids import MonoidPresentation, cancellation_law_check, conical_check, refine
 from .rings import (
     CornerRing,
     IdempotentBasis,
@@ -163,10 +165,6 @@ class FiniteModule:
                         self.scale(r, x), self.scale(r, y)
                     ):
                         raise ValueError("scalar action fails r(x+y) = rx+ry")
-
-    def scale_element(self, r: RingElement, x: Any) -> Any:
-        self.ring._own(r)
-        return self.scale(r.payload, x)
 
     def annihilator(self) -> frozenset:
         """Ring payloads killing every point."""
@@ -685,6 +683,45 @@ class RankVerdict:
         return f"non-constant rank {self.localized_ranks}"
 
 
+def refinement_verify(ring: Ring, splittings: int, bound: int) -> VerifierReport:
+    """Refinement in the projective-class monoid: the generators are conical,
+    and for each of ``splittings`` seeded random grids z11..z22, :func:`refine`
+    finds a grid with the same row sums x1, x2 and column sums y1, y2."""
+    presentation, _ = projective_monoid(ring)
+    k = presentation.generator_count
+    conical = conical_check(
+        [presentation.element(tuple(int(j == i) for j in range(k))) for i in range(k)]
+    )
+    rng = random.Random(0)
+    failures = 0
+    for _ in range(splittings):
+        z11, z12, z21, z22 = [
+            presentation.element(tuple(rng.randint(0, 10) for _ in range(k)))
+            for _ in range(4)
+        ]
+        x1, x2 = z11 + z12, z21 + z22
+        y1, y2 = z11 + z21, z12 + z22
+        witness = refine(x1, x2, y1, y2, bound=max(20, bound))
+        if (
+            witness is None
+            or witness.row_sums() != (x1, x2)
+            or witness.column_sums() != (y1, y2)
+        ):
+            failures += 1
+    holds = conical and failures == 0
+    return VerifierReport(
+        name="refinement",
+        instance=f"{ring.descriptor()} monoid={presentation.describe()}",
+        holds=holds,
+        checked=splittings,
+        details=(
+            f"free={presentation.is_free} conical={conical}",
+            f"splittings refined: {splittings - failures}/{splittings}",
+        ),
+        counterexample=None if holds else "a splitting failed",
+    )
+
+
 def _compare_global_and_local(
     ring: Ring,
     bound: int,
@@ -693,6 +730,8 @@ def _compare_global_and_local(
     """For every pair of projectives with multiplicities up to the bound,
     compare global isomorphism with isomorphism of all the localizations.
     Returns (module count, pairs checked, first disagreement or None)."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     basis = primitive_idempotent_decomposition(ring)
     vectors = list(itertools.product(range(bound + 1), repeat=len(basis)))
     modules = {t: ProjectiveModule(ring, basis, t) for t in vectors}
@@ -714,9 +753,7 @@ def _compare_global_and_local(
     return len(vectors), checked, None
 
 
-def local_global_verify(
-    ring: Ring, bound: int, budget: int | None = None
-) -> VerifierReport:
+def local_global_verify(ring: Ring, bound: int) -> VerifierReport:
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
     M iso N must agree with rank equality at every maximal ideal."""
@@ -738,10 +775,7 @@ def local_global_verify(
 
 
 def partition_of_unity_verify(
-    ring: Ring,
-    generators: Iterable[RingElement],
-    bound: int,
-    budget: int | None = None,
+    ring: Ring, generators: Iterable[RingElement], bound: int
 ) -> VerifierReport:
     """Like the local-global check, but localizing at finitely many elements
     that generate the unit ideal (verified by exhaustive combination search)."""
@@ -906,6 +940,26 @@ def diagonal_refinement_check(
     )
 
 
+def decomposition_verify(ring: Ring) -> VerifierReport:
+    """:func:`diagonal_refinement_check` on the 1x1 matrix [a] for every
+    regular element a of the ring."""
+    regular = [a for a in ring.elements() if is_regular_element(a)[0]]
+    failing = [
+        a.literal()
+        for a in regular
+        if not diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]])).holds
+    ]
+    return VerifierReport(
+        name="decomposition",
+        instance=f"{ring.descriptor()} regular 1x1",
+        holds=not failing,
+        checked=len(regular),
+        counterexample=(
+            f"diagonal refinement fails for [a] with a in {failing}" if failing else None
+        ),
+    )
+
+
 def _all_matrices(ring: Ring, rows: int, cols: int) -> Iterable[RingMatrix]:
     elements = ring.elements()
     for combo in itertools.product(elements, repeat=rows * cols):
@@ -970,6 +1024,8 @@ def cancellation_and_reduction_verify(
         raise UnsupportedRing(
             f"matrix-side verification needs a modular ring, got {ring.descriptor()}"
         )
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     presentation, basis = projective_monoid(ring)
     k = len(basis)
     unit = presentation.element((1,) * k)

@@ -394,9 +394,7 @@ class PolynomialRing(Ring):
         """The indeterminate X."""
         return RingElement(self, (self.base._zero(), self.base._one()))
 
-    def elements_up_to_degree(
-        self, max_degree: int, include_zero: bool = True
-    ) -> Iterator[RingElement]:
+    def elements_up_to_degree(self, max_degree: int) -> Iterator[RingElement]:
         """Enumerate polynomials of degree <= max_degree, ascending by degree.
 
         Requires a finite base.  Within each degree, coefficient tuples run in
@@ -406,8 +404,7 @@ class PolynomialRing(Ring):
             raise UnsupportedRing("degree-bounded enumeration needs a finite base")
         payloads = [e.payload for e in self.base.elements()]
         nonzero = [p for p in payloads if p != self.base._zero()]
-        if include_zero:
-            yield self.zero()
+        yield self.zero()
         for deg in range(max_degree + 1):
             if deg == 0:
                 for lead in nonzero:
@@ -544,9 +541,7 @@ class BivariatePolynomialRing(Ring):
             RingElement(self, (((0, 1), one),)),
         )
 
-    def elements_up_to_total_degree(
-        self, max_degree: int, include_zero: bool = True
-    ) -> Iterator[RingElement]:
+    def elements_up_to_total_degree(self, max_degree: int) -> Iterator[RingElement]:
         """Enumerate all polynomials of total degree <= max_degree."""
         monomials = sorted(
             (i, j)
@@ -561,8 +556,6 @@ class BivariatePolynomialRing(Ring):
                 for monomial, coeff in zip(monomials, assignment)
                 if coeff != zero
             )
-            if not terms and not include_zero:
-                continue
             yield RingElement(self, terms)
 
     def try_inverse(self, a: RingElement) -> Optional[RingElement]:
@@ -1094,9 +1087,6 @@ class EuclideanOps:
         p = self.ring.base.modulus
         return (pow(x[-1], -1, p),)
 
-    def is_canonical(self, x) -> bool:
-        return self.canonical_unit(x) == self.one() or self.is_zero(x)
-
 
 # ---------------------------------------------------------------------------
 # ring operations
@@ -1167,9 +1157,9 @@ def is_regular_element(a: RingElement) -> tuple[bool, Optional[RingElement]]:
 
 
 @lru_cache(maxsize=None)
-def idempotents(ring: Ring, budget: int | None = None) -> tuple[RingElement, ...]:
+def idempotents(ring: Ring) -> tuple[RingElement, ...]:
     """All solutions of e*e == e, in enumeration order."""
-    return tuple(e for e in ring.elements(budget) if e * e == e)
+    return tuple(e for e in ring.elements() if e * e == e)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ringlab import VerifierReport, diagonal_refinement_check
 from ringlab.cli import main
 
 
@@ -165,6 +166,21 @@ def test_check_cancellation_needs_monoid(capsys):
     assert code == 3
 
 
+def test_check_cancellation_rejects_a_negative_max_entry(capsys):
+    code, out = run(
+        capsys, "check-cancellation", "--generators", "2", "--unit", "1,1",
+        "--max-entry", "-1",
+    )
+    assert code == 3
+    assert out == "input error: --max-entry must be nonnegative\n"
+    code, out = run(
+        capsys, "check-cancellation", "--generators", "2", "--unit", "1,1",
+        "--max-entry", "0",
+    )
+    assert code == 0
+    assert "pairs_checked=1\n" in out
+
+
 # ---------------------------------------------------------------------------
 # module commands
 
@@ -268,6 +284,29 @@ def test_verify_accepts_explicit_generators(capsys):
     )
     assert code == 0
     assert "generators=[3, 4]" in out
+
+
+def test_verify_rejects_a_negative_bound(capsys):
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "-1")
+    assert code == 3
+    assert out == "input error: bound must be nonnegative\n"
+
+
+def test_verify_reports_a_failed_decomposition(capsys, monkeypatch):
+    def fail_at_three(f):
+        report = diagonal_refinement_check(f)
+        if f.entry(0, 0).literal() != 3:
+            return report
+        return VerifierReport(report.name, report.instance, False, report.checked)
+
+    monkeypatch.setattr("ringlab.modules.diagonal_refinement_check", fail_at_three)
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
+    assert code == 1
+    assert out.endswith(
+        "check=decomposition instance=modular(6) regular 1x1 verdict=violated checked=6\n"
+        "  counterexample: diagonal refinement fails for [a] with a in [3]\n"
+        "result=violation\n"
+    )
 
 
 def test_verify_rejects_non_modular(capsys):

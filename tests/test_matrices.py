@@ -27,7 +27,6 @@ from ringlab import (
     TrivialExtensionRing,
     diagonal_reduction,
     elementary_divisor_chain_check,
-    hermite_reduce,
     is_regular_matrix,
     is_total_divisor,
     matrix_from_document,
@@ -311,43 +310,21 @@ def test_reduce_matrix_dispatches_by_ring():
     assert verify_reduction(RingMatrix.from_rows(Z6, [[4, 6]]), red)
 
 
-# ---------------------------------------------------------------------------
-# hermite reduction of vectors
-
-
-def test_hermite_row_golden():
-    v = RingMatrix.from_rows(Z, [[4, 6]])
-    red = hermite_reduce(v)
-    assert [d.literal() for d in red.diagonal()] == [2]
-    assert [[e.literal() for e in r] for r in red.Q.row_list()] == [[-1, -3], [1, 2]]
-    assert verify_reduction(v, red)
-
-
-def test_hermite_zero_row():
-    v = RingMatrix.from_rows(Z, [[0, 0]])
-    red = hermite_reduce(v)
-    assert red.Q == RingMatrix.identity(Z, 2)
-    assert verify_reduction(v, red)
-
-
-def test_hermite_column_over_f2x():
-    x = F2X.gen()
-    v = RingMatrix.from_rows(F2X, [[x], [x * x]])
-    red = hermite_reduce(v)
-    assert [d.literal() for d in red.diagonal()] == [[0, 1]]
-    assert verify_reduction(v, red)
-
-
-def test_hermite_modular_row():
-    v = RingMatrix.from_rows(Z4, [[2, 3]])
-    red = hermite_reduce(v)
-    assert verify_reduction(v, red)
-    assert [d.literal() for d in red.diagonal()] == [1]
-
-
-def test_hermite_rejects_other_shapes():
-    with pytest.raises(ValueError):
-        hermite_reduce(RingMatrix.identity(Z, 2))
+@pytest.mark.parametrize(
+    "ring, rows, diagonal",
+    [
+        (Z, [[4, 6]], [2]),
+        (Z, [[0, 0]], [0]),
+        (F2X, [[[0, 1]], [[0, 0, 1]]], [[0, 1]]),
+        (Z4, [[2, 3]], [1]),
+    ],
+    ids=["z-row", "z-zero-row", "f2x-column", "z4-row"],
+)
+def test_reduce_matrix_on_rows_and_columns(ring, rows, diagonal):
+    a = RingMatrix.from_rows(ring, rows)
+    red = reduce_matrix(a)
+    assert [d.literal() for d in red.diagonal()] == diagonal
+    assert verify_reduction(a, red)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Finite modules, projective multiplicity classes, and theorem verifiers."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ringlab import (
@@ -13,10 +16,12 @@ from ringlab import (
     RingMatrix,
     TrivialExtensionRing,
     UnsupportedRing,
+    VerifierReport,
     annihilator_submodule,
     cancellation_and_reduction_verify,
     constant_rank_free_check,
     cyclic_submodule,
+    decomposition_verify,
     diagonal_refinement_check,
     direct_sum,
     find_module_isomorphism,
@@ -34,6 +39,7 @@ from ringlab import (
     projective_module,
     projective_monoid,
     quotient_by_cyclic,
+    refinement_verify,
     ring_module,
     stably_free_check,
     to_finite_module,
@@ -406,3 +412,87 @@ def test_jacobson_lift_reports_a_wrong_projection(monkeypatch):
         "1x1 matrix [[0]]: its projected reduction is not a reduction over gf(2)"
     )
     assert "stopped at a failure" in report.details[3]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: local_global_verify(Z6, -1),
+        lambda: partition_of_unity_verify(Z6, [Z6.make(3), Z6.make(4)], -1),
+        lambda: cancellation_and_reduction_verify(Z6, -1),
+    ],
+    ids=["local-global", "partition-of-unity", "cancellation-and-reduction"],
+)
+def test_verifiers_reject_a_negative_bound(check):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        check()
+
+
+def test_verifiers_accept_bound_zero():
+    report = local_global_verify(Z6, 0)
+    assert report.holds and report.checked == 1
+    report = partition_of_unity_verify(Z6, [Z6.make(3), Z6.make(4)], 0)
+    assert report.holds and report.checked == 1
+    report = cancellation_and_reduction_verify(Z4, 0)
+    assert report.holds
+    assert report.details[0] == "cancellation pairs checked: 1"
+
+
+# ---------------------------------------------------------------------------
+# the verify sections outside the module verifiers above
+
+
+def _recorded_verify_section(name, check):
+    """The lines of one section of the recorded `verify` output."""
+    goldens = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+    )
+    stdout = next(g["stdout"] for g in goldens if g["name"] == name)
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"check={check} "))
+    end = start + 1
+    while lines[end].startswith("  "):
+        end += 1
+    return lines[start:end]
+
+
+def test_refinement_verify_matches_recorded_output():
+    assert refinement_verify(Z6, 100, 2).lines() == [
+        "check=refinement instance=modular(6) monoid=free(2) verdict=holds checked=100",
+        "  free=True conical=True",
+        "  splittings refined: 100/100",
+    ]
+    assert refinement_verify(Z12, 100, 2).lines() == _recorded_verify_section(
+        "verify_modular12", "refinement"
+    )
+
+
+def test_decomposition_verify_matches_recorded_output():
+    report = decomposition_verify(Z12)
+    assert report.holds and report.checked == 9
+    assert report.lines() == _recorded_verify_section("verify_modular12", "decomposition")
+
+
+def test_refinement_verify_reports_a_failed_splitting(monkeypatch):
+    monkeypatch.setattr("ringlab.modules.refine", lambda *args, **kwargs: None)
+    report = refinement_verify(Z6, 5, 2)
+    assert not report.holds
+    assert report.checked == 5
+    assert report.details[1] == "splittings refined: 0/5"
+    assert report.counterexample == "a splitting failed"
+    assert report.lines()[-1] == "  counterexample: a splitting failed"
+
+
+def test_decomposition_verify_names_the_failing_element(monkeypatch):
+    def fail_at_three(f):
+        report = diagonal_refinement_check(f)
+        if f.entry(0, 0).literal() != 3:
+            return report
+        return VerifierReport(report.name, report.instance, False, report.checked)
+
+    monkeypatch.setattr("ringlab.modules.diagonal_refinement_check", fail_at_three)
+    report = decomposition_verify(Z6)
+    assert not report.holds
+    assert report.checked == 6
+    assert report.counterexample == "diagonal refinement fails for [a] with a in [3]"
+    assert "verdict=violated" in report.lines()[0]
