@@ -35,6 +35,7 @@ from ringlab import (
     localize_at_maximal,
     maximal_ideals,
     module_iso,
+    parse_ring,
     partition_of_unity_verify,
     projective_module,
     projective_monoid,
@@ -412,6 +413,26 @@ def test_jacobson_lift_reports_a_wrong_projection(monkeypatch):
         "1x1 matrix [[0]]: its projected reduction is not a reduction over gf(2)"
     )
     assert "stopped at a failure" in report.details[3]
+
+
+# The lines of both small-shape sections as recorded before the sweep was
+# shared: J != 0 (modular(4), modular(9)), J = 0 over a composite modulus
+# (modular(6), modular(10)), and J = 0 over a prime, where the quotient of
+# modular(5) is gf(5) and the quotient of gf(5) is gf(5) again.
+RECORDED_SWEEP_SECTIONS = json.loads(
+    (Path(__file__).resolve().parent / "recorded_verify_sections.json").read_text()
+)
+
+
+@pytest.mark.parametrize("descriptor", list(RECORDED_SWEEP_SECTIONS))
+def test_sweep_sections_match_recorded_output(descriptor):
+    ring = parse_ring(descriptor)
+    recorded = RECORDED_SWEEP_SECTIONS[descriptor]
+    assert (
+        cancellation_and_reduction_verify(ring, 2).lines()
+        == recorded["cancellation-and-reduction"]
+    )
+    assert jacobson_lift_verify(ring).lines() == recorded["jacobson-lift"]
 
 
 @pytest.mark.parametrize(
