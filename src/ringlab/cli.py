@@ -44,17 +44,12 @@ from .monoids import (
 )
 from .modules import (
     ProjectiveModule,
-    cancellation_and_reduction_verify,
-    decomposition_verify,
-    jacobson_lift_verify,
-    local_global_verify,
     localize_at_element,
     localize_at_maximal,
     module_iso,
-    partition_of_unity_verify,
     projective_module,
     projective_monoid,
-    refinement_verify,
+    verify_suite,
 )
 from .rings import (
     BivariatePolynomialRing,
@@ -254,21 +249,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UnsupportedRing(
             f"the verify suite runs over modular rings, got {ring.descriptor()}"
         )
-    bound = args.bound
     if args.generators is not None:
-        gens = [
-            _parse_element(ring, part) for part in args.generators.split(",")
-        ]
+        gens = [_parse_element(ring, part) for part in args.generators.split(",")]
     else:
         gens = _default_partition_generators(ring)
-    reports = [
-        refinement_verify(ring, 100, bound),
-        local_global_verify(ring, bound),
-        partition_of_unity_verify(ring, gens, min(bound, 2)),
-        cancellation_and_reduction_verify(ring, bound),
-        jacobson_lift_verify(ring),
-        decomposition_verify(ring),
-    ]
+    reports = verify_suite(ring, args.bound, gens)
     for report in reports:
         for line in report.lines():
             print(line)

@@ -327,14 +327,6 @@ class _ReductionState:
             ops.sub(a, ops.mul(c, b)) for a, b in zip(self.Qi[i], self.Qi[j])
         ]
 
-    def col_scale(self, j: int, u: Any, u_inv: Any) -> None:
-        ops = self.ops
-        for row in self.M:
-            row[j] = ops.mul(row[j], u)
-        for row in self.Q:
-            row[j] = ops.mul(row[j], u)
-        self.Qi[j] = [ops.mul(u_inv, a) for a in self.Qi[j]]
-
     def col_bezout(self, i: int, j: int, row: int) -> None:
         """Combine columns i and j so entry (row, i) becomes the gcd."""
         ops = self.ops
@@ -559,6 +551,27 @@ def elementary_divisor_chain_check(red: DiagonalReduction) -> bool:
     return all(is_total_divisor(diag[i], diag[i + 1]) for i in range(len(diag) - 1))
 
 
+def _structural_regularity(
+    f: RingMatrix,
+) -> tuple[DiagonalReduction, Optional[RingMatrix]]:
+    """Reduce f once; return the reduction and a verified g with f @ g @ f
+    == f built from its transforms, or None when a diagonal entry is not
+    regular."""
+    red = diagonal_reduction(f)
+    witnesses = []
+    for d in red.diagonal():
+        ok, w = is_regular_element(d)
+        if not ok:
+            return red, None
+        witnesses.append(w)
+    # G is the transposed-shape diagonal of the entry witnesses
+    G = RingMatrix.diagonal(f.ring, witnesses, rows=f.cols, cols=f.rows)
+    g = red.Q @ G @ red.P
+    if f @ g @ f != f:
+        raise AssertionError("structural regularity witness failed; this is a bug")
+    return red, g
+
+
 def is_regular_matrix(
     f: RingMatrix, method: str = "auto", budget: int | None = None
 ) -> tuple[bool, Optional[RingMatrix]]:
@@ -573,20 +586,8 @@ def is_regular_matrix(
     if method == "auto":
         method = "structural" if isinstance(ring, ModularRing) else "brute"
     if method == "structural":
-        red = diagonal_reduction(f)
-        diag = red.diagonal()
-        witnesses = []
-        for d in diag:
-            ok, g = is_regular_element(d)
-            if not ok:
-                return False, None
-            witnesses.append(g)
-        # G is the transposed-shape diagonal of the entry witnesses
-        G = RingMatrix.diagonal(ring, witnesses, rows=f.cols, cols=f.rows)
-        g = red.Q @ G @ red.P
-        if f @ g @ f != f:
-            raise AssertionError("structural regularity witness failed; this is a bug")
-        return True, g
+        _, g = _structural_regularity(f)
+        return g is not None, g
     if method == "brute":
         if not ring.is_finite():
             raise UnsupportedRing("brute-force regularity needs a finite ring")
@@ -635,7 +636,7 @@ def matrix_from_document(doc: dict) -> RingMatrix:
             raise ValueError(f"matrix document is missing {key!r}")
     ring = parse_ring(doc["ring"])
     rows, cols = doc["rows"], doc["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (rows, cols)):
         raise ValueError("rows and cols must be integers")
     entries = doc["entries"]
     if not isinstance(entries, list):

@@ -13,7 +13,8 @@ isomorphism, partitions of unity, constant rank implying free, cancellation
 plus diagonal reduction, lifting reductions through the radical, the
 decomposition behind each regular 1x1 matrix) and return a ``VerifierReport``
 with counts and, on failure, a counterexample payload.  Every section of
-``ringlab verify`` is one of these reports.
+``ringlab verify`` is one of these reports; ``verify_suite`` builds all six,
+sweeping the small shapes once for the cancellation and Jacobson reports.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .matrices import (
     DiagonalReduction,
     RingMatrix,
     _matmul_payloads,
+    _structural_regularity,
     diagonal_reduction,
     is_regular_matrix,
     verify_reduction,
@@ -849,9 +851,7 @@ def stably_free_check(module: ProjectiveModule, a: int, b: int) -> RankVerdict:
     return RankVerdict(True, rank, module.multiplicities)
 
 
-def diagonal_refinement_check(
-    f: RingMatrix, budget: int | None = None
-) -> VerifierReport:
+def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
     """For a regular matrix with diagonal form diag(d_1..d_r): each index must
     satisfy ann(d_j) (+) d_j R = R and R/d_j R (+) d_j R = R, checked by
     explicit isomorphism search.  Cardinalities of the full kernel, image, and
@@ -859,15 +859,15 @@ def diagonal_refinement_check(
     ring = f.ring
     if not ring.is_finite():
         raise UnsupportedRing("the refinement check enumerates modules; finite only")
-    regular, _ = is_regular_matrix(f, budget=budget)
+    if isinstance(ring, ModularRing):
+        red, g = _structural_regularity(f)
+        regular, diag = g is not None, red.diagonal()
+    else:
+        regular, _ = is_regular_matrix(f)
+        diag = f.diagonal_entries() if f.is_diagonal() else None
     if not regular:
         raise ValueError("the matrix is not regular; the criterion does not apply")
-    if isinstance(ring, ModularRing):
-        red = diagonal_reduction(f)
-        diag = red.diagonal()
-    elif f.is_diagonal():
-        diag = f.diagonal_entries()
-    else:
+    if diag is None:
         raise UnsupportedRing(
             f"no reduction available over {ring.descriptor()}; pass a diagonal matrix"
         )
@@ -876,13 +876,21 @@ def diagonal_refinement_check(
     details = []
     checked = 0
     factor_sizes = []
+
+    def report(count: int, failure: Optional[str] = None) -> VerifierReport:
+        instance = f"{ring.descriptor()} {f.rows}x{f.cols}"
+        holds = failure is None
+        return VerifierReport(
+            "diagonal-refinement", instance, holds, count, tuple(details), failure
+        )
+
     for j, d in enumerate(diag):
         K = annihilator_submodule(d)
         I = cyclic_submodule(d)
         C = quotient_by_cyclic(d)
         factor_sizes.append((len(K), len(I), len(C)))
-        ok_kernel = module_iso(direct_sum(K, I), unit_module, budget)
-        ok_cokernel = module_iso(direct_sum(C, I), unit_module, budget)
+        ok_kernel = module_iso(direct_sum(K, I), unit_module)
+        ok_cokernel = module_iso(direct_sum(C, I), unit_module)
         checked += 2
         details.append(
             f"j={j + 1} d={d.literal()}"
@@ -890,14 +898,7 @@ def diagonal_refinement_check(
             f" quot(+)dR={'ok' if ok_cokernel else 'FAIL'}"
         )
         if not (ok_kernel and ok_cokernel):
-            return VerifierReport(
-                name="diagonal-refinement",
-                instance=f"{ring.descriptor()} {f.rows}x{f.cols}",
-                holds=False,
-                checked=checked,
-                details=tuple(details),
-                counterexample=f"index {j + 1}, entry {d.literal()}",
-            )
+            return report(checked, f"index {j + 1}, entry {d.literal()}")
     if f.rows != f.cols:
         extra = abs(f.rows - f.cols)
         side = "cokernel" if f.rows > f.cols else "kernel"
@@ -905,7 +906,7 @@ def diagonal_refinement_check(
             f"{extra} trailing {side} summand(s) free of rank 1 (no paired index)"
         )
     try:
-        kernel, image, coker = kernel_image_cokernel(f, budget)
+        kernel, image, coker = kernel_image_cokernel(f)
     except BudgetExceeded:
         details.append("cardinality cross-check skipped (carrier over budget)")
     else:
@@ -918,26 +919,14 @@ def diagonal_refinement_check(
             expect_im,
             expect_coker,
         ):
-            return VerifierReport(
-                name="diagonal-refinement",
-                instance=f"{ring.descriptor()} {f.rows}x{f.cols}",
-                holds=False,
-                checked=checked + 1,
-                details=tuple(details),
-                counterexample=(
-                    f"cardinalities ker/im/coker = {len(kernel)}/{len(image)}/"
-                    f"{len(coker)}, expected {expect_ker}/{expect_im}/{expect_coker}"
-                ),
+            return report(
+                checked + 1,
+                f"cardinalities ker/im/coker = {len(kernel)}/{len(image)}/"
+                f"{len(coker)}, expected {expect_ker}/{expect_im}/{expect_coker}",
             )
         checked += 1
         details.append("kernel/image/cokernel cardinalities match the factors")
-    return VerifierReport(
-        name="diagonal-refinement",
-        instance=f"{ring.descriptor()} {f.rows}x{f.cols}",
-        holds=True,
-        checked=checked,
-        details=tuple(details),
-    )
+    return report(checked)
 
 
 def decomposition_verify(ring: Ring) -> VerifierReport:
@@ -960,63 +949,89 @@ def decomposition_verify(ring: Ring) -> VerifierReport:
     )
 
 
-def _all_matrices(ring: Ring, rows: int, cols: int) -> Iterable[RingMatrix]:
+@dataclass(frozen=True)
+class _SmallShapeSweep:
+    """One sweep of the small shapes over a ring: the radical and quotient,
+    the matrix and regular counts with one note per shape, and the first
+    regular matrix whose projected reduction failed over the quotient."""
+
+    radical: tuple[RingElement, ...]
+    quotient: Ring
+    seen: int
+    regular: int
+    notes: tuple[str, ...]
+    bad: Optional[RingMatrix]
+
+
+def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
+    """Reduce each matrix of the shapes 1x1, 1x2, 2x1 (2x2 when |R|^4 fits
+    the element budget) once, and count the regular ones (all diagonal
+    entries regular).  Each regular reduction is projected through the
+    radical and verified over R/J(R) until one fails; when J(R) = 0 the
+    projection is the identity and would repeat the verify just made."""
+    radical, quotient, project = jacobson_radical_and_quotient(ring)
     elements = ring.elements()
-    for combo in itertools.product(elements, repeat=rows * cols):
-        yield RingMatrix(ring, rows, cols, combo)
-
-
-def _verify_small_shapes(
-    ring: Ring, budget: int | None, project=None, quotient: Ring | None = None
-) -> tuple[int, int, list[str], Optional[RingMatrix]]:
-    """Reduce every matrix of the small shapes over the ring (each witness is
-    verified by ``diagonal_reduction``) and count the regular ones (all
-    diagonal entries regular); optionally verify that projecting each regular
-    matrix's reduction through the radical yields a reduction over the
-    quotient.  Returns (matrices seen, regular count, per-shape notes, the
-    first matrix whose projected reduction fails or None); the sweep stops at
-    that matrix."""
+    regular_payloads = {a.payload for a in elements if is_regular_element(a)[0]}
     shapes = [(1, 1), (1, 2), (2, 1)]
-    if ring.cardinality() ** 4 <= element_budget(budget):
+    if len(elements) ** 4 <= element_budget(budget):
         shapes.append((2, 2))
-    regular_memo: dict[Any, bool] = {}
-
-    def entry_regular(d: RingElement) -> bool:
-        if d.payload not in regular_memo:
-            regular_memo[d.payload] = is_regular_element(d)[0]
-        return regular_memo[d.payload]
-
-    seen = 0
-    regular_count = 0
+    seen = regular_count = 0
     notes = []
+    bad = None
     for rows, cols in shapes:
         shape_regular = 0
-        shape_total = 0
-        for mat in _all_matrices(ring, rows, cols):
-            shape_total += 1
+        for combo in itertools.product(elements, repeat=rows * cols):
+            mat = RingMatrix(ring, rows, cols, combo)
             red = diagonal_reduction(mat)
-            if not all(entry_regular(d) for d in red.diagonal()):
+            if any(d.payload not in regular_payloads for d in red.diagonal()):
                 continue
             shape_regular += 1
-            if project is not None:
+            if len(radical) > 1 and bad is None:
                 mapped = DiagonalReduction(
-                    P=red.P.map_entries(quotient, project),
-                    P_inv=red.P_inv.map_entries(quotient, project),
-                    Q=red.Q.map_entries(quotient, project),
-                    Q_inv=red.Q_inv.map_entries(quotient, project),
-                    D=red.D.map_entries(quotient, project),
+                    *(
+                        m.map_entries(quotient, project)
+                        for m in (red.P, red.P_inv, red.Q, red.Q_inv, red.D)
+                    )
                 )
                 if not verify_reduction(mat.map_entries(quotient, project), mapped):
-                    return seen + shape_total, regular_count + shape_regular, notes, mat
+                    bad = mat
+        shape_total = len(elements) ** (rows * cols)
         seen += shape_total
         regular_count += shape_regular
         notes.append(f"shape {rows}x{cols}: {shape_regular}/{shape_total} regular")
-    return seen, regular_count, notes, None
+    return _SmallShapeSweep(radical, quotient, seen, regular_count, tuple(notes), bad)
 
 
-def cancellation_and_reduction_verify(
-    ring: Ring, bound: int, budget: int | None = None
+def _cancellation_report(
+    ring: Ring, bound: int, sweep: _SmallShapeSweep
 ) -> VerifierReport:
+    presentation, basis = projective_monoid(ring)
+    unit = presentation.element((1,) * len(basis))
+    candidates = [
+        presentation.element(v)
+        for v in itertools.product(range(bound + 1), repeat=len(basis))
+    ]
+    cancel = cancellation_law_check(unit, candidates)
+    return VerifierReport(
+        name="cancellation-and-reduction",
+        instance=f"{ring.descriptor()} bound={bound}",
+        holds=cancel.holds,
+        checked=cancel.pairs_checked + sweep.seen,
+        details=(
+            f"cancellation pairs checked: {cancel.pairs_checked}",
+            f"matrices examined: {sweep.seen}, regular and reduced: {sweep.regular}",
+            *sweep.notes,
+        ),
+        counterexample=(
+            None
+            if cancel.holds
+            else f"monoid pair A={cancel.counterexample[0].exponents}"
+            f" B={cancel.counterexample[1].exponents}"
+        ),
+    )
+
+
+def cancellation_and_reduction_verify(ring: Ring, bound: int) -> VerifierReport:
     """The two faces of diagonal reducibility, both checked at desk scale:
     the cancellation law 2u+A = u+B implies u+A = B in the projective-class
     monoid, and witnessed reduction of every small regular matrix."""
@@ -1026,32 +1041,40 @@ def cancellation_and_reduction_verify(
         )
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    presentation, basis = projective_monoid(ring)
-    k = len(basis)
-    unit = presentation.element((1,) * k)
-    candidates = [
-        presentation.element(v)
-        for v in itertools.product(range(bound + 1), repeat=k)
-    ]
-    cancel = cancellation_law_check(unit, candidates)
-    seen, regular_count, notes, _ = _verify_small_shapes(ring, budget)
-    holds = cancel.holds
-    details = [
-        f"cancellation pairs checked: {cancel.pairs_checked}",
-        f"matrices examined: {seen}, regular and reduced: {regular_count}",
-    ]
-    details.extend(notes)
+    return _cancellation_report(ring, bound, _small_shape_sweep(ring, None))
+
+
+def _jacobson_report(
+    ring: Ring, sweep: _SmallShapeSweep, budget: int | None
+) -> VerifierReport:
+    quotient, bad = sweep.quotient, sweep.bad
+    # with J(R) = 0 the quotient has the ring's payloads and operations
+    over_q = sweep if len(sweep.radical) == 1 else _small_shape_sweep(quotient, budget)
+    outcome = (
+        "all reduced and projected"
+        if bad is None
+        else "all reduced, projections stopped at a failure"
+    )
     return VerifierReport(
-        name="cancellation-and-reduction",
-        instance=f"{ring.descriptor()} bound={bound}",
-        holds=holds,
-        checked=cancel.pairs_checked + seen,
-        details=tuple(details),
+        name="jacobson-lift",
+        instance=ring.descriptor(),
+        holds=bad is None,
+        checked=over_q.seen + sweep.seen,
+        details=(
+            f"radical: {{{', '.join(str(a.literal()) for a in sweep.radical)}}}",
+            f"quotient: {quotient.descriptor()}",
+            f"over quotient: {over_q.regular}/{over_q.seen} regular, all reduced",
+            f"over ring: {sweep.regular}/{sweep.seen} regular, {outcome}",
+            *(f"quotient {n}" for n in over_q.notes),
+            *(f"ring {n}" for n in sweep.notes),
+        ),
         counterexample=(
             None
-            if cancel.holds
-            else f"monoid pair A={cancel.counterexample[0].exponents}"
-            f" B={cancel.counterexample[1].exponents}"
+            if bad is None
+            else f"{bad.rows}x{bad.cols} matrix"
+            f" {[[e.literal() for e in row] for row in bad.row_list()]}:"
+            f" its projected reduction is not a reduction over"
+            f" {quotient.descriptor()}"
         ),
     )
 
@@ -1064,32 +1087,22 @@ def jacobson_lift_verify(ring: Ring, budget: int | None = None) -> VerifierRepor
         raise UnsupportedRing(
             f"reduction verification needs a modular ring, got {ring.descriptor()}"
         )
-    radical, quotient, project = jacobson_radical_and_quotient(ring)
-    seen_q, regular_q, notes_q, _ = _verify_small_shapes(quotient, budget)
-    seen_r, regular_r, notes_r, bad = _verify_small_shapes(
-        ring, budget, project=project, quotient=quotient
-    )
-    outcome = "all reduced and projected" if bad is None else "stopped at a failure"
-    details = [
-        f"radical: {{{', '.join(str(a.literal()) for a in radical)}}}",
-        f"quotient: {quotient.descriptor()}",
-        f"over quotient: {regular_q}/{seen_q} regular, all reduced",
-        f"over ring: {regular_r}/{seen_r} regular, {outcome}",
+    return _jacobson_report(ring, _small_shape_sweep(ring, budget), budget)
+
+
+def verify_suite(
+    ring: Ring, bound: int, generators: Iterable[RingElement]
+) -> list[VerifierReport]:
+    """The six sections of ``ringlab verify`` over a modular ring, in order;
+    one small-shape sweep feeds the cancellation and the Jacobson reports."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    sweep = _small_shape_sweep(ring, None)
+    return [
+        refinement_verify(ring, 100, bound),
+        local_global_verify(ring, bound),
+        partition_of_unity_verify(ring, generators, min(bound, 2)),
+        _cancellation_report(ring, bound, sweep),
+        _jacobson_report(ring, sweep, None),
+        decomposition_verify(ring),
     ]
-    details.extend(f"quotient {n}" for n in notes_q)
-    details.extend(f"ring {n}" for n in notes_r)
-    return VerifierReport(
-        name="jacobson-lift",
-        instance=ring.descriptor(),
-        holds=bad is None,
-        checked=seen_q + seen_r,
-        details=tuple(details),
-        counterexample=(
-            None
-            if bad is None
-            else f"{bad.rows}x{bad.cols} matrix"
-            f" {[[e.literal() for e in row] for row in bad.row_list()]}:"
-            f" its projected reduction is not a reduction over"
-            f" {quotient.descriptor()}"
-        ),
-    )

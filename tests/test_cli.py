@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from ringlab import VerifierReport, diagonal_refinement_check
+import ringlab.matrices
+from ringlab import (
+    ModularRing,
+    VerifierReport,
+    diagonal_refinement_check,
+    jacobson_radical_and_quotient,
+)
 from ringlab.cli import main
 
 
@@ -64,6 +70,14 @@ def test_snf_rejects_bad_ring(tmp_path, capsys):
     path.write_text(json.dumps({"ring": "what", "rows": 1, "cols": 1, "entries": [1]}))
     code, out = run(capsys, "snf", "--input", str(path))
     assert code == 3
+
+
+def test_snf_rejects_a_boolean_shape(capsys, monkeypatch):
+    text = '{"ring": "integers", "rows": true, "cols": true, "entries": [5]}'
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))
+    code, out = run(capsys, "snf")
+    assert code == 3
+    assert out == "input error: rows and cols must be integers\n"
 
 
 def test_snf_rejects_missing_file(tmp_path, capsys):
@@ -307,6 +321,58 @@ def test_verify_reports_a_failed_decomposition(capsys, monkeypatch):
         "  counterexample: diagonal refinement fails for [a] with a in [3]\n"
         "result=violation\n"
     )
+
+
+def test_verify_reports_a_wrong_projection(capsys, monkeypatch):
+    radical, quotient, _ = jacobson_radical_and_quotient(ModularRing(4))
+    wrong = lambda a: quotient.zero()  # sends every unit to 0
+    monkeypatch.setattr(
+        "ringlab.modules.jacobson_radical_and_quotient",
+        lambda ring: (radical, quotient, wrong),
+    )
+    code, out = run(capsys, "verify", "--ring", "modular(4)", "--bound", "1")
+    assert code == 1
+    assert out.endswith("result=violation\n")
+    # the shared sweep keeps counting past the failure, so the cancellation
+    # section still reports every matrix
+    assert (
+        "check=cancellation-and-reduction instance=modular(4) bound=1"
+        " verdict=holds checked=296\n"
+    ) in out
+    assert "check=jacobson-lift instance=modular(4) verdict=violated checked=318\n" in out
+    assert (
+        "  counterexample: 1x1 matrix [[0]]: its projected reduction is not a"
+        " reduction over gf(2)\n"
+        "check=decomposition"
+    ) in out
+
+
+@pytest.mark.parametrize(
+    "ring, calls",
+    [
+        # J = 0: one sweep of 30 + 900 + 900 matrices (2x2 is over the
+        # element budget) also serves as the quotient sweep, plus one
+        # reduction for each of the 30 regular 1x1 matrices
+        ("modular(30)", 1_860),
+        # J != 0: 300 matrices over modular(12), 1,374 over the quotient
+        # modular(6) (2x2 included), and 9 regular 1x1 matrices
+        ("modular(12)", 1_683),
+    ],
+)
+def test_verify_reduces_each_small_matrix_once(capsys, monkeypatch, ring, calls):
+    original = ringlab.matrices.diagonal_reduction
+    count = 0
+
+    def counted(A):
+        nonlocal count
+        count += 1
+        return original(A)
+
+    monkeypatch.setattr("ringlab.matrices.diagonal_reduction", counted)
+    monkeypatch.setattr("ringlab.modules.diagonal_reduction", counted)
+    code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
+    assert code == 0
+    assert count == calls
 
 
 def test_verify_rejects_non_modular(capsys):

@@ -444,6 +444,15 @@ def test_document_validation_errors():
         matrix_from_document([1, 2])
 
 
+@pytest.mark.parametrize(
+    "rows, cols", [(True, True), (True, 1), (1, False)], ids=["both", "rows", "cols"]
+)
+def test_document_rejects_boolean_shape(rows, cols):
+    doc = {"ring": "integers", "rows": rows, "cols": cols, "entries": [5]}
+    with pytest.raises(ValueError, match="rows and cols must be integers"):
+        matrix_from_document(doc)
+
+
 def test_reduction_document_fields():
     a = RingMatrix.from_rows(Z, [[2, 4], [4, 6]])
     red = smith_normal_form(a)
