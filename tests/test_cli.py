@@ -113,6 +113,20 @@ def test_snf_round_trips_entries_past_the_int_str_limit(capsys, monkeypatch):
     assert result["witness"]["P"]["entries"] == [1]
 
 
+RECORDED_SNF_WITNESSES = json.loads(
+    (Path(__file__).resolve().parent / "recorded_snf_witnesses.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", list(RECORDED_SNF_WITNESSES))
+def test_snf_witness_matches_recorded_output(capsys, monkeypatch, name):
+    recorded = RECORDED_SNF_WITNESSES[name]
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(recorded["input"])))
+    code, out = run(capsys, "snf", "--emit-witness")
+    assert code == 0
+    assert out == recorded["stdout"]
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("ringlab.matrices.verify_reduction", lambda A, red: False)
     doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}

@@ -465,6 +465,27 @@ def test_reduction_document_fields():
     assert "witness" not in slim
 
 
+def test_reduction_document_verifies_the_pair_it_is_given():
+    a = RingMatrix.from_rows(Z, [[2, 4], [4, 6]])
+    red = smith_normal_form(a)
+    # the reduction of a is not a reduction of another matrix b
+    b = RingMatrix.from_rows(Z, [[2, 4], [4, 7]])
+    assert reduction_to_document(b, red, include_witness=False)["verified"] is False
+    # a reduction built by hand, not by the library, is verified on its own
+    hand = DiagonalReduction(
+        P=RingMatrix.from_rows(Z, [[1, 0], [-2, 1]]),
+        P_inv=RingMatrix.from_rows(Z, [[1, 0], [2, 1]]),
+        Q=RingMatrix.from_rows(Z, [[1, -2], [0, 1]]),
+        Q_inv=RingMatrix.from_rows(Z, [[1, 2], [0, 1]]),
+        D=RingMatrix.diagonal(Z, [2, -2]),
+    )
+    assert reduction_to_document(a, hand, include_witness=True)["verified"] is True
+    tampered = DiagonalReduction(
+        hand.P, hand.P_inv, hand.Q, hand.Q_inv, RingMatrix.diagonal(Z, [2, 2])
+    )
+    assert reduction_to_document(a, tampered, include_witness=True)["verified"] is False
+
+
 # ---------------------------------------------------------------------------
 # property-based coverage
 
