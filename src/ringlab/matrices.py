@@ -13,12 +13,19 @@ included.
 Diagonal entries are canonical associates (nonnegative integers, monic
 polynomials, or the mod-n image of the lifted form), zeros sit at the end,
 and each entry divides the next.
+
+Each reduction is verified once, where it is built, and carries the matrix
+it was verified against; ``reduction_to_document`` (the output of ``ringlab
+snf``/``reduce``) reports that verify instead of repeating it, and verifies
+any other pair itself.  Every matrix product runs through
+``_matmul_payloads``, one ring payload dot product (``Ring._dot``) per entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, MismatchedRings, UnsupportedRing, search_budget
@@ -40,19 +47,16 @@ def _matmul_payloads(
 ) -> list[Any]:
     """Row-major payload product of an m x k and a k x n matrix over ``ring``.
 
-    Every matrix product in the package runs through this loop; it works on
-    canonical payloads, so no ``RingElement`` is built per step."""
-    add, mul, zero = ring._add, ring._mul, ring._zero()
+    Every matrix product in the package runs through this loop; each entry
+    is one call of the ring's payload dot product, so no ``RingElement`` is
+    built per step."""
+    dot = ring._dot
     columns = [b[j::n] for j in range(n)]
-    out = []
-    for start in range(0, m * k, k):
-        row = a[start : start + k]
-        for column in columns:
-            acc = zero
-            for x, y in zip(row, column):
-                acc = add(acc, mul(x, y))
-            out.append(acc)
-    return out
+    return [
+        dot(a[start : start + k], column)
+        for start in range(0, m * k, k)
+        for column in columns
+    ]
 
 
 def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
@@ -190,13 +194,21 @@ class RingMatrix:
 
 @dataclass(frozen=True)
 class DiagonalReduction:
-    """Witnessed equivalence P @ A @ Q = D with stored inverses."""
+    """Witnessed equivalence P @ A @ Q = D with stored inverses.
+
+    A reduction the library built and verified carries the matrix A it was
+    verified against (``_verified_for``, not part of equality or repr), so
+    the verify is reported where the witness leaves the library instead of
+    being repeated."""
 
     P: RingMatrix
     P_inv: RingMatrix
     Q: RingMatrix
     Q_inv: RingMatrix
     D: RingMatrix
+    _verified_for: Optional[RingMatrix] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def diagonal(self) -> tuple[RingElement, ...]:
         return self.D.diagonal_entries()
@@ -484,7 +496,7 @@ def _verified(
     A: RingMatrix, state: _ReductionState, project: Callable[[Any], Any]
 ) -> DiagonalReduction:
     """Wrap the accumulators of ``state`` (payloads mapped by ``project``)
-    as a reduction of A, and verify it once."""
+    as a reduction of A, verify it once, and mark it as verified for A."""
 
     def wrap(grid: list[list[Any]]) -> RingMatrix:
         flat = [project(x) for row in grid for x in row]
@@ -499,6 +511,7 @@ def _verified(
     )
     if not verify_reduction(A, red):
         raise AssertionError("reduction verification failed; this is a bug")
+    object.__setattr__(red, "_verified_for", A)
     return red
 
 
@@ -532,10 +545,12 @@ def reduce_matrix(A: RingMatrix) -> DiagonalReduction:
 def is_total_divisor(a: RingElement, b: RingElement) -> bool:
     """Whether b lies in the ideal generated by a (in a commutative ring).
 
-    Decided by exact division over the Euclidean rings and by exhaustive
-    search over finite rings."""
+    Decided by ``b % gcd(a, n) == 0`` over Z/n, by exact division over the
+    Euclidean rings, and by exhaustive search over other finite rings."""
     ring = a.ring
     ring._own(b)
+    if isinstance(ring, ModularRing):
+        return b.payload % math.gcd(a.payload, ring.modulus) == 0
     if isinstance(ring, IntegerRing) or (
         isinstance(ring, PolynomialRing) and isinstance(ring.base, PrimeField)
     ):
@@ -660,6 +675,9 @@ def matrix_from_document(doc: dict) -> RingMatrix:
 def reduction_to_document(
     A: RingMatrix, red: DiagonalReduction, include_witness: bool
 ) -> dict:
+    """JSON-ready document of a reduction of A.  ``verified`` reports the
+    verify the library made when it built ``red`` from this same A, and
+    checks any other pair afresh."""
     doc = matrix_to_document(red.D)
     doc["diagonal"] = [e.literal() for e in red.diagonal()]
     doc["divisibility_chain"] = elementary_divisor_chain_check(red)
@@ -670,5 +688,5 @@ def reduction_to_document(
             "Q": matrix_to_document(red.Q),
             "Q_inv": matrix_to_document(red.Q_inv),
         }
-    doc["verified"] = verify_reduction(A, red)
+    doc["verified"] = red._verified_for is A or verify_reduction(A, red)
     return doc

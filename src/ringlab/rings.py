@@ -13,6 +13,17 @@ are equal exactly when their payloads are identical.  Payload conventions:
 * trivial extensions: a pair ``(r, m)`` of base payloads, multiplying as
   ``(r1*r2, r1*m2 + m1*r2)``
 
+Each ring also has a payload dot product, ``_dot(xs, ys)``: the sum of
+``x*y`` over the pairs, which every matrix product in the package runs
+through.  The base class adds the payload products one by one; the integers
+and Z/n sum plain int products (reducing once); polynomials over Z/n (prime
+fields included) use Kronecker substitution.  Each coefficient tuple becomes
+one int with a slot of ``(count * (n - 1)**2).bit_length()`` bits per
+coefficient, where ``count`` bounds the products that meet in one
+coefficient, so no slot overflows into the next; the packed products are
+summed, and the sum is unpacked once, each coefficient reduced mod n and the
+result trimmed.  A single polynomial product is the one-pair case.
+
 Finite rings expose a fixed enumeration order; every exhaustive search in
 the package walks that order, which is what makes witnesses deterministic.
 """
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -99,6 +111,14 @@ class Ring:
 
     def _one(self) -> Any:
         raise NotImplementedError
+
+    def _dot(self, xs: Iterable[Any], ys: Iterable[Any]) -> Any:
+        """Sum of x*y over the payload pairs of xs and ys (zero when empty)."""
+        add, mul = self._add, self._mul
+        acc = self._zero()
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def _payload_literal(self, x: Any) -> Any:
         return x
@@ -230,6 +250,9 @@ class IntegerRing(Ring):
     def _mul(self, x: int, y: int) -> int:
         return x * y
 
+    def _dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        return sum(map(operator.mul, xs, ys))
+
     def _zero(self) -> int:
         return 0
 
@@ -264,6 +287,9 @@ class ModularRing(Ring):
 
     def _mul(self, x: int, y: int) -> int:
         return (x * y) % self.modulus
+
+    def _dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        return sum(map(operator.mul, xs, ys)) % self.modulus
 
     def _zero(self) -> int:
         return 0
@@ -330,6 +356,8 @@ class PolynomialRing(Ring):
                 raise ValueError(f"degree bound must be positive, got {bound}")
         self.base = base
         self.bound = bound
+        # coefficients are plain ints mod n here, so products pack (see _dot)
+        self._modulus = base.modulus if isinstance(base, ModularRing) else None
         if bound is None:
             self._descriptor = f"poly({base.descriptor()})"
         else:
@@ -361,6 +389,8 @@ class PolynomialRing(Ring):
         return tuple(self.base._neg(c) for c in x)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
+        if self._modulus is not None:
+            return self._dot((x,), (y,))
         if not x or not y:
             return ()
         base = self.base
@@ -371,6 +401,22 @@ class PolynomialRing(Ring):
                 continue
             for j, b in enumerate(y, i):
                 out[j] = add(out[j], mul(a, b))
+        return self._trim(out)
+
+    def _dot(self, xs: Iterable[tuple], ys: Iterable[tuple]) -> tuple:
+        n = self._modulus
+        if n is None:
+            return super()._dot(xs, ys)
+        pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
+        # no coefficient of the sum adds up more than `count` products
+        count = sum(min(len(x), len(y)) for x, y in pairs)
+        width = (count * (n - 1) ** 2).bit_length()
+        total = sum(_pack(x, width) * _pack(y, width) for x, y in pairs)
+        mask = (1 << width) - 1
+        out = []
+        while total:
+            out.append((total & mask) % n)
+            total >>= width
         return self._trim(out)
 
     def _zero(self) -> tuple:
@@ -448,6 +494,15 @@ class PolynomialRing(Ring):
         if a * inv != self.one():
             raise AssertionError("nilpotent-series inverse check failed")
         return inv
+
+
+def _pack(coeffs: tuple, width: int) -> int:
+    """Kronecker substitution: coefficient i (a nonnegative int narrower
+    than ``width`` bits) goes to bits ``[i*width, (i+1)*width)``."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << width) | c
+    return packed
 
 
 class BivariatePolynomialRing(Ring):

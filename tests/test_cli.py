@@ -127,6 +127,42 @@ def test_snf_witness_matches_recorded_output(capsys, monkeypatch, name):
     assert out == recorded["stdout"]
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("snf", {"ring": "integers", "rows": 2, "cols": 3, "entries": [2, 4, 6, 4, 6, 9]}),
+        ("reduce", {"ring": "modular(12)", "rows": 2, "cols": 2, "entries": [4, 6, 8, 9]}),
+    ],
+)
+def test_reduction_commands_verify_each_witness_once(capsys, monkeypatch, command, doc):
+    original = ringlab.matrices.verify_reduction
+    count = 0
+
+    def counted(A, red):
+        nonlocal count
+        count += 1
+        return original(A, red)
+
+    monkeypatch.setattr("ringlab.matrices.verify_reduction", counted)
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
+    code, out = run(capsys, command, "--emit-witness")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert count == 1
+
+
+@pytest.mark.parametrize("modulus", [100_000, 1_000_003])
+def test_reduce_over_a_large_modulus(capsys, monkeypatch, modulus):
+    # deciding the divisibility chain must not enumerate Z/n
+    doc = {"ring": f"modular({modulus})", "rows": 2, "cols": 2, "entries": [2, 4, 6, 9]}
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
+    code, out = run(capsys, "reduce")
+    assert code == 0
+    result = json.loads(out)
+    assert result["divisibility_chain"] is True
+    assert result["verified"] is True
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("ringlab.matrices.verify_reduction", lambda A, red: False)
     doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}

@@ -339,6 +339,15 @@ def test_total_divisor_cases():
     assert not is_total_divisor(Z4.make(2), Z4.make(1))
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_modular_total_divisor_matches_enumeration(n):
+    ring = ModularRing(n)
+    for a in range(n):
+        multiples = {(a * r) % n for r in range(n)}
+        for b in range(n):
+            assert is_total_divisor(ring.make(a), ring.make(b)) == (b in multiples), (a, b)
+
+
 def _diag_reduction(ring, diag):
     size = len(diag)
     return DiagonalReduction(
@@ -541,9 +550,13 @@ def _finite_sampler(ring):
     return lambda rng: rng.choice(elements)
 
 
+def _polynomial_sampler(ring, max_length=4):
+    n = ring.base.modulus
+    return lambda rng: ring.make([rng.randrange(n) for _ in range(rng.randint(0, max_length))])
+
+
 def _product_rings():
     z12 = ModularRing(12)
-    gf7x = PolynomialRing(PrimeField(7))
     finite = [
         z12,
         ProductRing([Z4, ModularRing(3)]),
@@ -551,10 +564,16 @@ def _product_rings():
         CornerRing(z12, z12.make(4)),
         QuotientRing(z12, frozenset({0, 6})),
     ]
-    return [
-        (Z, lambda rng: Z.make(rng.randint(-50, 50))),
-        (gf7x, lambda rng: gf7x.make([rng.randrange(7) for _ in range(rng.randint(0, 3))])),
-    ] + [(ring, _finite_sampler(ring)) for ring in finite]
+    # polynomials over Z/n, zero divisors and a modulus past 64 bits included
+    polynomial = [
+        PolynomialRing(base)
+        for base in (PrimeField(7), Z4, Z6, ModularRing(2), ModularRing(2**64 + 13))
+    ]
+    return (
+        [(Z, lambda rng: Z.make(rng.randint(-50, 50)))]
+        + [(ring, _polynomial_sampler(ring)) for ring in polynomial]
+        + [(ring, _finite_sampler(ring)) for ring in finite]
+    )
 
 
 @pytest.mark.parametrize(
@@ -564,7 +583,7 @@ def _product_rings():
 )
 def test_matmul_and_apply_match_definition(ring, sample):
     rng = random.Random(0x3A7)
-    for rows, inner, cols in [(1, 1, 1), (2, 3, 1), (3, 2, 4), (4, 4, 4)]:
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 1), (3, 2, 4), (4, 4, 4), (2, 16, 3)]:
         a = _random_matrix(ring, rng, rows, inner, sample)
         b = _random_matrix(ring, rng, inner, cols, sample)
         product = a @ b
@@ -573,6 +592,24 @@ def test_matmul_and_apply_match_definition(ring, sample):
         vector = tuple(sample(rng) for _ in range(inner))
         column = RingMatrix(ring, inner, 1, vector)
         assert list(a.apply(vector)) == _product_by_definition(a, column)
+
+
+@pytest.mark.parametrize(
+    "modulus, row, column, square",
+    [
+        # over Z/4, 2X * 2X = 0, so every product trims to the zero polynomial
+        (4, [2, 2], [2, 2], ()),
+        # over Z/6, 2X * 3X = 0 and 2X * 2X + 3X * 3X = X^2
+        (6, [2, 3], [3, 2], (0, 0, 1)),
+    ],
+)
+def test_matmul_trims_vanishing_leading_products(modulus, row, column, square):
+    ring = PolynomialRing(ModularRing(modulus))
+    a = RingMatrix.from_rows(ring, [[[0, c] for c in row]])
+    b = RingMatrix.from_rows(ring, [[[0, c]] for c in column])
+    assert (a @ b).payloads() == [()]
+    assert (a @ a.transpose()).payloads() == [square]
+    assert list((a @ b).entries) == _product_by_definition(a, b)
 
 
 def test_matmul_and_apply_reject_mixed_rings():

@@ -491,3 +491,70 @@ def test_polynomial_kernel_matches_coefficient_convolution(data):
     ring = PolynomialRing(base)
     assert ring._add(x, y) == _reference_add(x, y, zero, add)
     assert ring._mul(x, y) == _reference_mul(x, y, zero, add, mul)
+
+
+# ---------------------------------------------------------------------------
+# the payload dot product against the sum of plain products
+
+
+def _plain_polynomial_dot(name):
+    _, (_, zero, add, mul) = KERNEL_BASES[name]
+
+    def dot(xs, ys):
+        acc = ()
+        for x, y in zip(xs, ys):
+            acc = _reference_add(acc, _reference_mul(x, y, zero, add, mul), zero, add)
+        return acc
+
+    return dot
+
+
+def _polynomial_payloads(name):
+    _, (coeffs, zero, _, _) = KERNEL_BASES[name]
+    nonzero = [c for c in coeffs if c != zero]
+    # the zero polynomial, or a body and any nonzero (even zero-divisor) lead
+    nonzero_polynomials = st.tuples(
+        st.lists(st.sampled_from(coeffs), max_size=5), st.sampled_from(nonzero)
+    ).map(lambda t: tuple(t[0]) + (t[1],))
+    return st.one_of(st.just(()), nonzero_polynomials)
+
+
+# ring -> (payload strategy, the dot product on plain payloads); the last
+# ring's base is not Z/n, so it takes the generic add-and-multiply loop
+def _plain_int_dot(xs, ys):
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+DOT_RINGS = {
+    "integers": (st.integers(-(2**70), 2**70), _plain_int_dot),
+    "modular(12)": (st.integers(0, 11), lambda xs, ys: _plain_int_dot(xs, ys) % 12),
+    **{
+        f"poly({name})": (_polynomial_payloads(name), _plain_polynomial_dot(name))
+        for name in ("gf(7)", "modular(4)", "trivial(modular(3))")
+    },
+}
+
+
+@st.composite
+def dot_operands(draw):
+    name = draw(st.sampled_from(sorted(DOT_RINGS)))
+    payloads, _ = DOT_RINGS[name]
+    length = draw(st.integers(0, 6))
+    xs = draw(st.lists(payloads, min_size=length, max_size=length))
+    ys = draw(st.lists(payloads, min_size=length, max_size=length))
+    return name, xs, ys
+
+
+@given(dot_operands())
+@example(("poly(modular(4))", [(0, 2), (0, 2)], [(0, 2), (0, 2)]))  # 2X * 2X = 0
+@example(("poly(modular(4))", [(1, 2), (3,)], [(3, 2), ()]))  # the leading 2 * 2 vanishes
+@example(("poly(gf(7))", [], []))
+@example(("integers", [], []))
+def test_dot_matches_the_sum_of_plain_products(data):
+    name, xs, ys = data
+    ring = parse_ring(name)
+    _, plain_dot = DOT_RINGS[name]
+    assert ring._dot(xs, ys) == plain_dot(xs, ys)
+    # a single product is the one-pair case
+    if xs:
+        assert ring._mul(xs[0], ys[0]) == plain_dot(xs[:1], ys[:1])
