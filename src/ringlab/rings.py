@@ -22,7 +22,7 @@ one int with a slot of ``(count * (n - 1)**2).bit_length()`` bits per
 coefficient, where ``count`` bounds the products that meet in one
 coefficient, so no slot overflows into the next; the packed products are
 summed, and the sum is unpacked once, each coefficient reduced mod n and the
-result trimmed.  A single polynomial product is the one-pair case.
+result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
 Finite rings expose a fixed enumeration order; every exhaustive search in
 the package walks that order, which is what makes witnesses deterministic.
@@ -389,10 +389,13 @@ class PolynomialRing(Ring):
         return tuple(self.base._neg(c) for c in x)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        if self._modulus is not None:
-            return self._dot((x,), (y,))
         if not x or not y:
             return ()
+        n = self._modulus
+        if n is not None:
+            # the one-pair case of _dot
+            width = (min(len(x), len(y)) * (n - 1) ** 2).bit_length()
+            return _unpack(_pack(x, width) * _pack(y, width), width, n)
         base = self.base
         add, mul, zero = base._add, base._mul, base._zero()
         out = [zero] * (len(x) + len(y) - 1)
@@ -411,13 +414,7 @@ class PolynomialRing(Ring):
         # no coefficient of the sum adds up more than `count` products
         count = sum(min(len(x), len(y)) for x, y in pairs)
         width = (count * (n - 1) ** 2).bit_length()
-        total = sum(_pack(x, width) * _pack(y, width) for x, y in pairs)
-        mask = (1 << width) - 1
-        out = []
-        while total:
-            out.append((total & mask) % n)
-            total >>= width
-        return self._trim(out)
+        return _unpack(sum(_pack(x, width) * _pack(y, width) for x, y in pairs), width, n)
 
     def _zero(self) -> tuple:
         return ()
@@ -503,6 +500,19 @@ def _pack(coeffs: tuple, width: int) -> int:
     for c in reversed(coeffs):
         packed = (packed << width) | c
     return packed
+
+
+def _unpack(packed: int, width: int, n: int) -> tuple:
+    """The coefficient payload over Z/n of a packed (sum of) product(s):
+    each ``width``-bit slot reduced mod n, trailing zeros trimmed."""
+    mask = (1 << width) - 1
+    out = []
+    while packed:
+        out.append((packed & mask) % n)
+        packed >>= width
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 class BivariatePolynomialRing(Ring):
