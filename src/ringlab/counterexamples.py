@@ -207,7 +207,7 @@ def trivial_extension_hermite_search(
         raise BudgetExceeded(
             f"{total} column pairs exceed the search budget {cap}"
         )
-    v1, v2 = (e.payload for e in vector.entries)
+    v1, v2 = vector.payloads
     mul, add, neg = ring._mul, ring._add, ring._neg
     zero = ring._zero()
     checked = 0
@@ -222,10 +222,9 @@ def trivial_extension_hermite_search(
             det = add(mul(a, y), neg(mul(b, x)))
             if ring.try_inverse(RingElement(ring, det)) is None:
                 continue
-            q = RingMatrix.from_rows(ring, [[a, x], [b, y]])
-            d = RingElement(ring, add(mul(v1, a), mul(v2, b)))
-            product = vector @ q
-            if product.entries != (d, ring.zero()):
+            q = RingMatrix(ring, 2, 2, (a, x, b, y))
+            d = add(mul(v1, a), mul(v2, b))
+            if (vector @ q).payloads != (d, zero):
                 raise AssertionError("transform failed re-verification; a bug")
-            return HermiteSearchReport(vector, height, True, q, d, checked)
+            return HermiteSearchReport(vector, height, True, q, RingElement(ring, d), checked)
     return HermiteSearchReport(vector, height, False, None, None, checked)

@@ -44,7 +44,7 @@ from .rings import (
 
 def _matmul_payloads(
     ring: Ring, a: Sequence[Any], b: Sequence[Any], m: int, k: int, n: int
-) -> list[Any]:
+) -> tuple[Any, ...]:
     """Row-major payload product of an m x k and a k x n matrix over ``ring``.
 
     Every matrix product in the package runs through this loop; each entry
@@ -52,11 +52,8 @@ def _matmul_payloads(
     built per step."""
     dot = ring._dot
     columns = [b[j::n] for j in range(n)]
-    return [
-        dot(a[start : start + k], column)
-        for start in range(0, m * k, k)
-        for column in columns
-    ]
+    rows = [a[start : start + k] for start in range(0, m * k, k)]
+    return tuple([dot(row, column) for row in rows for column in columns])
 
 
 def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
@@ -68,26 +65,28 @@ def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
 
 @dataclass(frozen=True)
 class RingMatrix:
-    """An immutable matrix with entries in one ring, stored row-major."""
+    """An immutable matrix over one ring: the canonical payloads of its
+    entries, row-major.  Like ``RingElement(ring, payload)``, the constructor
+    trusts them; literals and elements enter through ``from_rows``,
+    ``diagonal`` or ``map_entries``, which reject an element of another ring.
+    ``entries``, ``entry``, ``row_list`` and ``diagonal_entries`` wrap on demand."""
 
     ring: Ring
     rows: int
     cols: int
-    entries: tuple[RingElement, ...]
+    payloads: tuple[Any, ...]
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.payloads) != self.rows * self.cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
+                f"expected {self.rows * self.cols} entries, got {len(self.payloads)}"
             )
-        for e in self.entries:
-            self.ring._own(e)
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Iterable[Iterable[Any]]) -> "RingMatrix":
-        grid = [[ring.make(v) for v in row] for row in rows]
+        grid = [[ring.make(v).payload for v in row] for row in rows]
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])
@@ -97,7 +96,7 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "RingMatrix":
-        zero, one = ring.zero(), ring.one()
+        zero, one = ring._zero(), ring._one()
         return cls(
             ring,
             size,
@@ -107,25 +106,18 @@ class RingMatrix:
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
-        zero = ring.zero()
-        return cls(ring, rows, cols, (zero,) * (rows * cols))
-
-    @classmethod
-    def _from_payloads(
-        cls, ring: Ring, rows: int, cols: int, payloads: Iterable[Any]
-    ) -> "RingMatrix":
-        return cls(ring, rows, cols, tuple(RingElement(ring, p) for p in payloads))
+        return cls(ring, rows, cols, (ring._zero(),) * (rows * cols))
 
     @classmethod
     def diagonal(
         cls, ring: Ring, diag: Iterable[Any], rows: int | None = None, cols: int | None = None
     ) -> "RingMatrix":
-        diag = [ring.make(v) for v in diag]
+        diag = [ring.make(v).payload for v in diag]
         m = rows if rows is not None else len(diag)
         n = cols if cols is not None else len(diag)
         if len(diag) > min(m, n):
             raise ValueError("too many diagonal entries for the requested shape")
-        zero = ring.zero()
+        zero = ring._zero()
         return cls(
             ring,
             m,
@@ -137,43 +129,43 @@ class RingMatrix:
             ),
         )
 
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i * self.cols + j]
+    @property
+    def entries(self) -> tuple[RingElement, ...]:
+        """Row-major entries, wrapped as ring elements."""
+        ring = self.ring
+        return tuple(RingElement(ring, p) for p in self.payloads)
 
-    def payloads(self) -> list[Any]:
-        """Row-major entry payloads."""
-        return [e.payload for e in self.entries]
+    def entry(self, i: int, j: int) -> RingElement:
+        return RingElement(self.ring, self.payloads[i * self.cols + j])
 
     def row_list(self) -> list[list[RingElement]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
+        entries = self.entries
+        return [list(entries[i : i + self.cols]) for i in range(0, len(entries), self.cols)]
 
     def transpose(self) -> "RingMatrix":
+        payloads, rows, cols = self.payloads, self.rows, self.cols
         return RingMatrix(
             self.ring,
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+            cols,
+            rows,
+            tuple(payloads[i * cols + j] for j in range(cols) for i in range(rows)),
         )
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         _check_product(self, other)
         out = _matmul_payloads(
-            self.ring, self.payloads(), other.payloads(), self.rows, self.cols, other.cols
+            self.ring, self.payloads, other.payloads, self.rows, self.cols, other.cols
         )
-        return RingMatrix._from_payloads(self.ring, self.rows, other.cols, out)
+        return RingMatrix(self.ring, self.rows, other.cols, out)
 
     def map_entries(self, target: Ring, fn: Callable[[RingElement], RingElement]) -> "RingMatrix":
-        return RingMatrix(target, self.rows, self.cols, tuple(fn(e) for e in self.entries))
+        payloads = tuple(target.make(fn(e)).payload for e in self.entries)
+        return RingMatrix(target, self.rows, self.cols, payloads)
 
     def is_diagonal(self) -> bool:
+        zero, cols = self.ring._zero(), self.cols
         return all(
-            self.entry(i, j).is_zero()
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
+            p == zero for k, p in enumerate(self.payloads) if k // cols != k % cols
         )
 
     def diagonal_entries(self) -> tuple[RingElement, ...]:
@@ -187,7 +179,7 @@ class RingMatrix:
         for v in vector:
             ring._own(v)
         out = _matmul_payloads(
-            ring, self.payloads(), [v.payload for v in vector], self.rows, self.cols, 1
+            ring, self.payloads, [v.payload for v in vector], self.rows, self.cols, 1
         )
         return tuple(RingElement(ring, p) for p in out)
 
@@ -221,9 +213,8 @@ def _is_identity_product(ring: Ring, x: RingMatrix, y: RingMatrix) -> bool:
     size = x.rows
     if x.ring != ring or y.cols != size:
         return False
-    one, zero = ring._one(), ring._zero()
-    product = _matmul_payloads(ring, x.payloads(), y.payloads(), size, x.cols, size)
-    return product == [one if i == j else zero for i in range(size) for j in range(size)]
+    product = _matmul_payloads(ring, x.payloads, y.payloads, size, x.cols, size)
+    return product == RingMatrix.identity(ring, size).payloads
 
 
 def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
@@ -245,8 +236,8 @@ def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
         return False
     if red.D.ring != ring:
         return False
-    pa = _matmul_payloads(ring, red.P.payloads(), A.payloads(), m, m, n)
-    return _matmul_payloads(ring, pa, red.Q.payloads(), m, n, n) == red.D.payloads()
+    pa = _matmul_payloads(ring, red.P.payloads, A.payloads, m, m, n)
+    return _matmul_payloads(ring, pa, red.Q.payloads, m, n, n) == red.D.payloads
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +245,18 @@ def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
 
 
 class _ReductionState:
-    """Mutable matrix plus transform accumulators, all on raw payloads."""
+    """Mutable matrix plus transform accumulators, all on raw payloads; the
+    ring's payload functions, zero and one are bound once per reduction."""
 
     def __init__(self, ops: EuclideanOps, grid: list[list[Any]]) -> None:
+        ring = ops.ring
         self.ops = ops
-        self.M = [row[:] for row in grid]
+        self.add, self.mul, self.neg = ring._add, ring._mul, ring._neg
+        zero, one = ring._zero(), ring._one()
+        self.zero, self.one = zero, one
+        self.M = [list(row) for row in grid]
         self.m = len(grid)
         self.n = len(grid[0])
-        zero, one = ops.zero(), ops.one()
         self.P = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
         self.Pi = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
         self.Q = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
@@ -279,41 +274,40 @@ class _ReductionState:
 
     def row_addmul(self, i: int, j: int, c: Any) -> None:
         """row_i += c * row_j; inverse is subtraction on Pi columns."""
-        ops = self.ops
-        if ops.is_zero(c):
+        if c == self.zero:
             return
-        self.M[i] = [ops.add(a, ops.mul(c, b)) for a, b in zip(self.M[i], self.M[j])]
-        self.P[i] = [ops.add(a, ops.mul(c, b)) for a, b in zip(self.P[i], self.P[j])]
+        add, mul, neg = self.add, self.mul, self.neg
+        self.M[i] = [add(a, mul(c, b)) for a, b in zip(self.M[i], self.M[j])]
+        self.P[i] = [add(a, mul(c, b)) for a, b in zip(self.P[i], self.P[j])]
         for row in self.Pi:
-            row[j] = ops.sub(row[j], ops.mul(c, row[i]))
+            row[j] = add(row[j], neg(mul(c, row[i])))
 
     def row_scale(self, i: int, u: Any, u_inv: Any) -> None:
-        ops = self.ops
-        self.M[i] = [ops.mul(u, a) for a in self.M[i]]
-        self.P[i] = [ops.mul(u, a) for a in self.P[i]]
+        mul = self.mul
+        self.M[i] = [mul(u, a) for a in self.M[i]]
+        self.P[i] = [mul(u, a) for a in self.P[i]]
         for row in self.Pi:
-            row[i] = ops.mul(row[i], u_inv)
+            row[i] = mul(row[i], u_inv)
 
     def row_bezout(self, i: int, j: int, col: int) -> None:
         """Combine rows i and j so entry (i, col) becomes gcd of the two
         column entries; the 2x2 block transform has determinant one."""
         ops = self.ops
+        add, mul, neg = self.add, self.mul, self.neg
         a, b = self.M[i][col], self.M[j][col]
         d, s, t = ops.egcd(a, b)
-        if ops.is_zero(d):
+        if d == self.zero:
             return
         ab, bb = ops.exact_div(a, d), ops.exact_div(b, d)
         for target in (self.M, self.P):
             ri, rj = target[i], target[j]
-            new_i = [ops.add(ops.mul(s, x), ops.mul(t, y)) for x, y in zip(ri, rj)]
-            new_j = [
-                ops.sub(ops.mul(ab, y), ops.mul(bb, x)) for x, y in zip(ri, rj)
-            ]
+            new_i = [add(mul(s, x), mul(t, y)) for x, y in zip(ri, rj)]
+            new_j = [add(mul(ab, y), neg(mul(bb, x))) for x, y in zip(ri, rj)]
             target[i], target[j] = new_i, new_j
         for row in self.Pi:
             x, y = row[i], row[j]
-            row[i] = ops.add(ops.mul(ab, x), ops.mul(bb, y))
-            row[j] = ops.add(ops.mul(ops.neg(t), x), ops.mul(s, y))
+            row[i] = add(mul(ab, x), mul(bb, y))
+            row[j] = add(mul(neg(t), x), mul(s, y))
 
     # column operations: M <- M @ C, Q <- Q @ C, Qi <- C^-1 @ Qi
 
@@ -328,57 +322,54 @@ class _ReductionState:
 
     def col_addmul(self, j: int, i: int, c: Any) -> None:
         """col_j += c * col_i; inverse subtracts on Qi rows."""
-        ops = self.ops
-        if ops.is_zero(c):
+        if c == self.zero:
             return
+        add, mul, neg = self.add, self.mul, self.neg
         for row in self.M:
-            row[j] = ops.add(row[j], ops.mul(c, row[i]))
+            row[j] = add(row[j], mul(c, row[i]))
         for row in self.Q:
-            row[j] = ops.add(row[j], ops.mul(c, row[i]))
-        self.Qi[i] = [
-            ops.sub(a, ops.mul(c, b)) for a, b in zip(self.Qi[i], self.Qi[j])
-        ]
+            row[j] = add(row[j], mul(c, row[i]))
+        self.Qi[i] = [add(a, neg(mul(c, b))) for a, b in zip(self.Qi[i], self.Qi[j])]
 
     def col_bezout(self, i: int, j: int, row: int) -> None:
         """Combine columns i and j so entry (row, i) becomes the gcd."""
         ops = self.ops
+        add, mul, neg = self.add, self.mul, self.neg
         a, b = self.M[row][i], self.M[row][j]
         d, s, t = ops.egcd(a, b)
-        if ops.is_zero(d):
+        if d == self.zero:
             return
         ab, bb = ops.exact_div(a, d), ops.exact_div(b, d)
         for target in (self.M, self.Q):
             for r in target:
                 x, y = r[i], r[j]
-                r[i] = ops.add(ops.mul(x, s), ops.mul(y, t))
-                r[j] = ops.sub(ops.mul(y, ab), ops.mul(x, bb))
+                r[i] = add(mul(x, s), mul(y, t))
+                r[j] = add(mul(y, ab), neg(mul(x, bb)))
         qi, qj = self.Qi[i], self.Qi[j]
-        self.Qi[i] = [ops.add(ops.mul(ab, x), ops.mul(bb, y)) for x, y in zip(qi, qj)]
-        self.Qi[j] = [
-            ops.add(ops.mul(ops.neg(t), x), ops.mul(s, y)) for x, y in zip(qi, qj)
-        ]
+        self.Qi[i] = [add(mul(ab, x), mul(bb, y)) for x, y in zip(qi, qj)]
+        self.Qi[j] = [add(mul(neg(t), x), mul(s, y)) for x, y in zip(qi, qj)]
 
 
 def _find_pivot(state: _ReductionState, k: int) -> Optional[tuple[int, int]]:
     """Smallest nonzero entry by Euclidean size in the trailing submatrix,
     ties broken row-major."""
-    ops = state.ops
+    size, zero = state.ops.size, state.zero
     best = None
     best_size = None
     for i in range(k, state.m):
         for j in range(k, state.n):
             x = state.M[i][j]
-            if ops.is_zero(x):
+            if x == zero:
                 continue
-            size = ops.size(x)
-            if best_size is None or size < best_size:
-                best, best_size = (i, j), size
+            x_size = size(x)
+            if best_size is None or x_size < best_size:
+                best, best_size = (i, j), x_size
     return best
 
 
 def _clear_position(state: _ReductionState, k: int) -> None:
     """Make row k and column k zero outside the pivot at (k, k)."""
-    ops = state.ops
+    ops, zero, neg = state.ops, state.zero, state.neg
     guard = 0
     while True:
         guard += 1
@@ -387,28 +378,28 @@ def _clear_position(state: _ReductionState, k: int) -> None:
         progress = False
         for i in range(k + 1, state.m):
             x = state.M[i][k]
-            if ops.is_zero(x):
+            if x == zero:
                 continue
             pivot = state.M[k][k]
             if ops.divides(pivot, x):
                 q = ops.exact_div(x, pivot)
-                state.row_addmul(i, k, ops.neg(q))
+                state.row_addmul(i, k, neg(q))
             else:
                 state.row_bezout(k, i, k)
             progress = True
         for j in range(k + 1, state.n):
             x = state.M[k][j]
-            if ops.is_zero(x):
+            if x == zero:
                 continue
             pivot = state.M[k][k]
             if ops.divides(pivot, x):
                 q = ops.exact_div(x, pivot)
-                state.col_addmul(j, k, ops.neg(q))
+                state.col_addmul(j, k, neg(q))
             else:
                 state.col_bezout(k, j, k)
             progress = True
-        col_clear = all(ops.is_zero(state.M[i][k]) for i in range(k + 1, state.m))
-        row_clear = all(ops.is_zero(state.M[k][j]) for j in range(k + 1, state.n))
+        col_clear = all(state.M[i][k] == zero for i in range(k + 1, state.m))
+        row_clear = all(state.M[k][j] == zero for j in range(k + 1, state.n))
         if col_clear and row_clear:
             return
         if not progress:
@@ -417,21 +408,21 @@ def _clear_position(state: _ReductionState, k: int) -> None:
 
 def _enforce_divisibility(state: _ReductionState) -> None:
     """Repair the chain d_i | d_{i+1} by merging adjacent diagonal entries."""
-    ops = state.ops
+    ops, zero = state.ops, state.zero
     r = min(state.m, state.n)
     for _ in range(r * r + 1):
         changed = False
         for i in range(r - 1):
             a, b = state.M[i][i], state.M[i + 1][i + 1]
-            if ops.is_zero(b) or ops.divides(a, b):
+            if b == zero or ops.divides(a, b):
                 continue
             # fold column i+1 into column i, re-extract the gcd, clean up
-            state.col_addmul(i, i + 1, ops.one())
+            state.col_addmul(i, i + 1, state.one)
             state.row_bezout(i, i + 1, i)
             extra = state.M[i][i + 1]
-            if not ops.is_zero(extra):
+            if extra != zero:
                 q = ops.exact_div(extra, state.M[i][i])
-                state.col_addmul(i + 1, i, ops.neg(q))
+                state.col_addmul(i + 1, i, state.neg(q))
             changed = True
         if not changed:
             return
@@ -440,8 +431,7 @@ def _enforce_divisibility(state: _ReductionState) -> None:
 
 def _sort_zeros_to_end(state: _ReductionState) -> None:
     r = min(state.m, state.n)
-    ops = state.ops
-    nonzero = [i for i in range(r) if not ops.is_zero(state.M[i][i])]
+    nonzero = [i for i in range(r) if state.M[i][i] != state.zero]
     for target, source in enumerate(nonzero):
         if target != source:
             state.row_swap(target, source)
@@ -452,10 +442,10 @@ def _canonicalize_diagonal(state: _ReductionState) -> None:
     ops = state.ops
     for i in range(min(state.m, state.n)):
         x = state.M[i][i]
-        if ops.is_zero(x):
+        if x == state.zero:
             continue
         u = ops.canonical_unit(x)
-        if u != ops.one():
+        if u != state.one:
             u_inv = _unit_inverse(ops, u)
             state.row_scale(i, u, u_inv)
 
@@ -475,7 +465,7 @@ def _smith_core(ring: Ring, A: RingMatrix) -> _ReductionState:
     """The elimination behind :func:`smith_normal_form`, run over ``ring`` on
     the entry payloads of A.  Nothing here is verified: each public entry
     point verifies the one reduction it returns."""
-    payloads = A.payloads()
+    payloads = A.payloads
     grid = [payloads[i : i + A.cols] for i in range(0, len(payloads), A.cols)]
     state = _ReductionState(EuclideanOps(ring), grid)
     for k in range(min(state.m, state.n)):
@@ -499,8 +489,8 @@ def _verified(
     as a reduction of A, verify it once, and mark it as verified for A."""
 
     def wrap(grid: list[list[Any]]) -> RingMatrix:
-        flat = [project(x) for row in grid for x in row]
-        return RingMatrix._from_payloads(A.ring, len(grid), len(grid[0]), flat)
+        flat = tuple([project(x) for row in grid for x in row])
+        return RingMatrix(A.ring, len(grid), len(grid[0]), flat)
 
     red = DiagonalReduction(
         P=wrap(state.P),
@@ -615,11 +605,11 @@ def is_regular_matrix(
                 f"{count} candidate matrices exceed the search budget {cap}"
             )
         m, n = f.rows, f.cols
-        fp = f.payloads()
+        fp = f.payloads
         for combo in itertools.product([e.payload for e in elements], repeat=slots):
             fg = _matmul_payloads(ring, fp, combo, m, n, m)
             if _matmul_payloads(ring, fg, fp, m, m, n) == fp:
-                return True, RingMatrix._from_payloads(ring, n, m, combo)
+                return True, RingMatrix(ring, n, m, combo)
         return False, None
     raise ValueError(f"unknown method {method!r}")
 
@@ -634,7 +624,7 @@ def matrix_to_document(A: RingMatrix) -> dict:
         "ring": A.ring.descriptor(),
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [e.literal() for e in A.entries],
+        "entries": [A.ring._payload_literal(p) for p in A.payloads],
     }
 
 
@@ -664,12 +654,12 @@ def matrix_from_document(doc: dict) -> RingMatrix:
     elif nested:
         # one-column shapes fit both layouts; prefer flat, fall back
         try:
-            return RingMatrix(ring, rows, cols, tuple(ring.make(e) for e in entries))
+            return RingMatrix(ring, rows, cols, tuple(ring.make(e).payload for e in entries))
         except (ValueError, TypeError):
             entries = [e for row in entries for e in row]
     if len(entries) != rows * cols:
         raise ValueError("entry list does not match the declared shape")
-    return RingMatrix(ring, rows, cols, tuple(ring.make(e) for e in entries))
+    return RingMatrix(ring, rows, cols, tuple(ring.make(e).payload for e in entries))
 
 
 def reduction_to_document(

@@ -605,9 +605,8 @@ def localize_at_element(
 
 
 def _matrix_action(f: RingMatrix) -> Callable[[tuple], tuple]:
-    ring, rows, cols = f.ring, f.rows, f.cols
-    flat = f.payloads()
-    return lambda x: tuple(_matmul_payloads(ring, flat, x, rows, cols, 1))
+    ring, rows, cols, flat = f.ring, f.rows, f.cols, f.payloads
+    return lambda x: _matmul_payloads(ring, flat, x, rows, cols, 1)
 
 
 def kernel_image_cokernel(
@@ -972,6 +971,11 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     radical, quotient, project = jacobson_radical_and_quotient(ring)
     elements = ring.elements()
     regular_payloads = {a.payload for a in elements if is_regular_element(a)[0]}
+    image = {a.payload: project(a).payload for a in elements}
+
+    def down(m: RingMatrix) -> RingMatrix:
+        return RingMatrix(quotient, m.rows, m.cols, tuple([image[p] for p in m.payloads]))
+
     shapes = [(1, 1), (1, 2), (2, 1)]
     if len(elements) ** 4 <= element_budget(budget):
         shapes.append((2, 2))
@@ -980,20 +984,19 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     bad = None
     for rows, cols in shapes:
         shape_regular = 0
-        for combo in itertools.product(elements, repeat=rows * cols):
+        # the keys of ``image`` are the ring's payloads in enumeration order
+        for combo in itertools.product(image, repeat=rows * cols):
             mat = RingMatrix(ring, rows, cols, combo)
             red = diagonal_reduction(mat)
-            if any(d.payload not in regular_payloads for d in red.diagonal()):
+            D = red.D.payloads
+            if any(D[i * cols + i] not in regular_payloads for i in range(min(rows, cols))):
                 continue
             shape_regular += 1
             if len(radical) > 1 and bad is None:
                 mapped = DiagonalReduction(
-                    *(
-                        m.map_entries(quotient, project)
-                        for m in (red.P, red.P_inv, red.Q, red.Q_inv, red.D)
-                    )
+                    *(down(m) for m in (red.P, red.P_inv, red.Q, red.Q_inv, red.D))
                 )
-                if not verify_reduction(mat.map_entries(quotient, project), mapped):
+                if not verify_reduction(down(mat), mapped):
                     bad = mat
         shape_total = len(elements) ** (rows * cols)
         seen += shape_total

@@ -153,6 +153,52 @@ def test_construction_rejects_ragged_rows():
         RingMatrix.from_rows(Z, [[1, 2], [3]])
 
 
+def test_element_entry_points_reject_another_ring():
+    foreign = Z6.make(1)
+    with pytest.raises(MismatchedRings):
+        RingMatrix.from_rows(Z4, [[1, foreign]])
+    with pytest.raises(MismatchedRings):
+        RingMatrix.diagonal(Z4, [Z4.make(1), foreign])
+    a = RingMatrix.from_rows(Z4, [[1, 2], [3, 0]])
+    with pytest.raises(MismatchedRings):
+        a.map_entries(Z4, lambda e: foreign)
+    assert a.map_entries(Z6, lambda e: Z6.make(e.payload)).payloads == (1, 2, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, payloads",
+    [(0, 1, ()), (1, 0, ()), (-1, -1, (1,)), (2, 2, (1, 2, 3)), (1, 2, (1, 2, 3))],
+)
+def test_constructor_checks_the_shape(rows, cols, payloads):
+    with pytest.raises(ValueError):
+        RingMatrix(Z4, rows, cols, payloads)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[1, 0, 0], [0, 3, 0]],
+        [[1, 2, 0], [0, 3, 0]],
+        [[2], [0], [0]],
+        [[2], [0], [1]],
+    ],
+    ids=["2x3-diagonal", "2x3-full", "3x1-diagonal", "3x1-full"],
+)
+def test_access_matches_the_elementwise_definition(grid):
+    a = RingMatrix.from_rows(Z4, grid)
+    rows, cols = len(grid), len(grid[0])
+    elements = [[Z4.make(v) for v in row] for row in grid]
+    assert a.row_list() == elements
+    assert all(a.entry(i, j) == elements[i][j] for i in range(rows) for j in range(cols))
+    transposed = a.transpose()
+    assert (transposed.rows, transposed.cols) == (cols, rows)
+    assert transposed.row_list() == [[elements[i][j] for i in range(rows)] for j in range(cols)]
+    assert a.is_diagonal() == all(
+        elements[i][j].is_zero() for i in range(rows) for j in range(cols) if i != j
+    )
+    assert a.diagonal_entries() == tuple(elements[i][i] for i in range(min(rows, cols)))
+
+
 def test_matmul_golden():
     a = RingMatrix.from_rows(Z, [[1, 2], [3, 4]])
     b = RingMatrix.from_rows(Z, [[0, 1], [1, 0]])
@@ -542,7 +588,7 @@ def _product_by_definition(a, b):
 
 
 def _random_matrix(ring, rng, rows, cols, sample):
-    return RingMatrix(ring, rows, cols, tuple(sample(rng) for _ in range(rows * cols)))
+    return RingMatrix(ring, rows, cols, tuple(sample(rng).payload for _ in range(rows * cols)))
 
 
 def _finite_sampler(ring):
@@ -590,7 +636,7 @@ def test_matmul_and_apply_match_definition(ring, sample):
         assert (product.ring, product.rows, product.cols) == (ring, rows, cols)
         assert list(product.entries) == _product_by_definition(a, b)
         vector = tuple(sample(rng) for _ in range(inner))
-        column = RingMatrix(ring, inner, 1, vector)
+        column = RingMatrix(ring, inner, 1, tuple(v.payload for v in vector))
         assert list(a.apply(vector)) == _product_by_definition(a, column)
 
 
@@ -607,8 +653,8 @@ def test_matmul_trims_vanishing_leading_products(modulus, row, column, square):
     ring = PolynomialRing(ModularRing(modulus))
     a = RingMatrix.from_rows(ring, [[[0, c] for c in row]])
     b = RingMatrix.from_rows(ring, [[[0, c]] for c in column])
-    assert (a @ b).payloads() == [()]
-    assert (a @ a.transpose()).payloads() == [square]
+    assert list((a @ b).payloads) == [()]
+    assert list((a @ a.transpose()).payloads) == [square]
     assert list((a @ b).entries) == _product_by_definition(a, b)
 
 
@@ -630,7 +676,7 @@ def _tamper(matrix, i, j, value=None):
     entries = list(matrix.entries)
     k = i * matrix.cols + j
     entries[k] = value if value is not None else entries[k] + matrix.ring.one()
-    return RingMatrix(matrix.ring, matrix.rows, matrix.cols, tuple(entries))
+    return RingMatrix(matrix.ring, matrix.rows, matrix.cols, tuple(e.payload for e in entries))
 
 
 def _replace(red, **changes):

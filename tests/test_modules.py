@@ -13,6 +13,7 @@ from ringlab import (
     MismatchedRings,
     ModularRing,
     ProjectiveModule,
+    RingElement,
     RingMatrix,
     TrivialExtensionRing,
     UnsupportedRing,
@@ -45,6 +46,7 @@ from ringlab import (
     stably_free_check,
     to_finite_module,
 )
+from ringlab.modules import _small_shape_sweep
 
 Z4 = ModularRing(4)
 Z6 = ModularRing(6)
@@ -433,6 +435,23 @@ def test_sweep_sections_match_recorded_output(descriptor):
         == recorded["cancellation-and-reduction"]
     )
     assert jacobson_lift_verify(ring).lines() == recorded["jacobson-lift"]
+
+
+def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
+    # Z/4 has J(R) = {0, 2}, so every regular reduction is also projected
+    ring = ModularRing(4)
+    _small_shape_sweep(ring, None)  # warm the element and radical caches
+    built = []
+    init = RingElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+    sweep = _small_shape_sweep(ring, None)
+    assert sweep.seen == 292
+    assert len(built) < sweep.seen
 
 
 @pytest.mark.parametrize(
