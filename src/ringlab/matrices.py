@@ -14,6 +14,10 @@ Diagonal entries are canonical associates (nonnegative integers, monic
 polynomials, or the mod-n image of the lifted form), zeros sit at the end,
 and each entry divides the next.
 
+A ``RingMatrix`` stores the canonical payloads of its entries, which its
+constructor trusts as ``RingElement(ring, payload)`` does; literals and
+elements go through ``from_rows``, ``diagonal`` or ``map_entries``.
+
 Each reduction is verified once, where it is built, and carries the matrix
 it was verified against; ``reduction_to_document`` (the output of ``ringlab
 snf``/``reduce``) reports that verify instead of repeating it, and verifies
@@ -353,7 +357,7 @@ class _ReductionState:
 def _find_pivot(state: _ReductionState, k: int) -> Optional[tuple[int, int]]:
     """Smallest nonzero entry by Euclidean size in the trailing submatrix,
     ties broken row-major."""
-    size, zero = state.ops.size, state.zero
+    ops, zero = state.ops, state.zero
     best = None
     best_size = None
     for i in range(k, state.m):
@@ -361,9 +365,9 @@ def _find_pivot(state: _ReductionState, k: int) -> Optional[tuple[int, int]]:
             x = state.M[i][j]
             if x == zero:
                 continue
-            x_size = size(x)
-            if best_size is None or x_size < best_size:
-                best, best_size = (i, j), x_size
+            size = ops.size(x)
+            if best_size is None or size < best_size:
+                best, best_size = (i, j), size
     return best
 
 
