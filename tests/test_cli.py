@@ -183,6 +183,19 @@ def test_bezout_verified_identity(capsys):
     assert "verified=True" in out
 
 
+RECORDED_BEZOUT = json.loads(
+    (Path(__file__).resolve().parent / "recorded_bezout.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", list(RECORDED_BEZOUT))
+def test_bezout_matches_recorded_output(capsys, name):
+    recorded = RECORDED_BEZOUT[name]
+    code, out = run(capsys, *recorded["argv"])
+    assert code == 0
+    assert out == recorded["stdout"]
+
+
 # ---------------------------------------------------------------------------
 # monoid commands
 

@@ -230,6 +230,114 @@ def test_bezout_identity_holds(a, b):
     assert s * Z.make(a) + t * Z.make(b) == d
 
 
+# Reference extended gcds, kept verbatim from the two loops that bezout_gcd
+# used before a single Euclidean loop served both rings.  They pin the exact
+# cofactors, not only the identity.
+
+
+def _reference_int_egcd(a, b):
+    if a == 0 and b == 0:
+        return (0, 0, 0)
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _reference_poly_divmod(ring, x, y):
+    p = ring.base.modulus
+    rem = list(x)
+    lead_inv = pow(y[-1], -1, p)
+    dy = len(y) - 1
+    quot = [0] * max(len(x) - dy, 0)
+    while len(rem) - 1 >= dy and rem:
+        shift = len(rem) - 1 - dy
+        factor = (rem[-1] * lead_inv) % p
+        quot[shift] = factor
+        for i, c in enumerate(y):
+            rem[shift + i] = (rem[shift + i] - factor * c) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return ring._trim(quot), tuple(rem)
+
+
+def _reference_poly_egcd(ring, x, y):
+    def sub(u, v):
+        return ring._add(u, ring._neg(v))
+
+    zero, one, mul = ring._zero(), ring._one(), ring._mul
+    if x == zero and y == zero:
+        return zero, zero, zero
+    old_r, r = x, y
+    old_s, s = one, zero
+    old_t, t = zero, one
+    while r != zero:
+        q, rem = _reference_poly_divmod(ring, old_r, r)
+        old_r, r = r, rem
+        old_s, s = s, sub(old_s, mul(q, s))
+        old_t, t = t, sub(old_t, mul(q, t))
+    u = (pow(old_r[-1], -1, ring.base.modulus),)
+    return mul(u, old_r), mul(u, old_s), mul(u, old_t)
+
+
+def _payloads(triple):
+    return tuple(x.payload for x in triple)
+
+
+@given(st.integers(), st.integers())
+@example(0, 0)
+@example(0, 7)
+@example(-7, 0)
+@example(-4, -6)
+@example(5, 5)
+@example(2**70 + 1, -(2**64))
+def test_bezout_matches_the_reference_loop_over_the_integers(a, b):
+    expected = _reference_int_egcd(a, b)
+    assert _payloads(bezout_gcd(Z.make(a), Z.make(b))) == expected
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_bezout_over_modular_rings_is_the_integer_loop_mod_n(n):
+    ring = ModularRing(n)
+    for a in range(n):
+        for b in range(n):
+            d, s, t = _reference_int_egcd(a, b)
+            got = _payloads(bezout_gcd(ring.make(a), ring.make(b)))
+            assert got == (d % n, s % n, t % n), (a, b)
+
+
+def _gf_polynomials(p):
+    coefficient = st.integers(0, p - 1)
+    return st.lists(coefficient, max_size=7)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@given(data=st.data())
+def test_bezout_matches_the_reference_loop_over_gf_p_x(p, data):
+    ring = PolynomialRing(PrimeField(p))
+    x = ring.make(data.draw(_gf_polynomials(p)))
+    y = ring.make(data.draw(_gf_polynomials(p)))
+    expected = _reference_poly_egcd(ring, x.payload, y.payload)
+    assert _payloads(bezout_gcd(x, y)) == expected
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bezout_over_gf_p_x_keeps_zero_and_unit_cases(p):
+    ring = PolynomialRing(PrimeField(p))
+    cases = [([], []), ([], [0, 3]), ([2], []), ([3], [0, 0, 1]), ([1, 2, 3, 4], [0, 1, 1])]
+    for a, b in cases:
+        x, y = ring.make(a), ring.make(b)
+        expected = _reference_poly_egcd(ring, x.payload, y.payload)
+        assert _payloads(bezout_gcd(x, y)) == expected, (a, b)
+
+
 # ---------------------------------------------------------------------------
 # regularity, against brute force
 
