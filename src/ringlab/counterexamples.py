@@ -182,7 +182,7 @@ def default_hermite_vector() -> RingMatrix:
 
 
 def trivial_extension_hermite_search(
-    vector: RingMatrix | None = None, height: int = 2, budget: int | None = None
+    vector: RingMatrix | None = None, height: int = 2
 ) -> HermiteSearchReport:
     """Exhaust all 2x2 column transforms over T(Z,Z) with entries of height
     at most ``height``: Q must be invertible (unit determinant) and kill the
@@ -202,7 +202,7 @@ def trivial_extension_hermite_search(
     entries = [(a, b) for a in span for b in span]
     columns = list(itertools.product(entries, repeat=2))
     total = len(columns) ** 2
-    cap = search_budget(budget)
+    cap = search_budget()
     if total > cap:
         raise BudgetExceeded(
             f"{total} column pairs exceed the search budget {cap}"

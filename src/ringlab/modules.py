@@ -463,7 +463,6 @@ def find_module_isomorphism(
 def module_iso(
     left: Union[ProjectiveModule, FiniteModule],
     right: Union[ProjectiveModule, FiniteModule],
-    budget: int | None = None,
 ) -> bool:
     """Isomorphism test: exact multiplicity comparison for projectives,
     generator-seeded search for explicit carriers, expansion for a mix."""
@@ -474,10 +473,10 @@ def module_iso(
             raise ValueError("modules use different idempotent bases")
         return left.multiplicities == right.multiplicities
     if isinstance(left, ProjectiveModule):
-        left = to_finite_module(left, budget)
+        left = to_finite_module(left)
     if isinstance(right, ProjectiveModule):
-        right = to_finite_module(right, budget)
-    return find_module_isomorphism(left, right, budget) is not None
+        right = to_finite_module(right)
+    return find_module_isomorphism(left, right) is not None
 
 
 # ---------------------------------------------------------------------------

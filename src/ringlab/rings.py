@@ -24,6 +24,13 @@ coefficient, so no slot overflows into the next; the packed products are
 summed, and the sum is unpacked once, each coefficient reduced mod n and the
 result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
+``EuclideanOps`` is the one Euclidean interface, for the integers and
+polynomials over a prime field.  It binds three ring-specific payload
+functions once: ``size`` (``abs`` or ``len``), ``divmod`` (the builtin, or
+long division over GF(p), ``PolynomialRing._divmod``) and
+``canonical_unit`` (the unit making an element nonnegative or monic, with
+its inverse).  One extended-gcd loop, ``egcd``, serves both rings.
+
 Finite rings expose a fixed enumeration order; every exhaustive search in
 the package walks that order, which is what makes witnesses deterministic.
 """
@@ -192,11 +199,11 @@ class Ring:
     def cardinality(self) -> int:
         raise UnsupportedRing(f"{self.descriptor()} is not finite")
 
-    def elements(self, budget: int | None = None) -> tuple[RingElement, ...]:
+    def elements(self) -> tuple[RingElement, ...]:
         """All elements in the ring's fixed enumeration order."""
         if not self.is_finite():
             raise UnsupportedRing(f"{self.descriptor()} is not finite")
-        cap = element_budget(budget)
+        cap = element_budget()
         if self.cardinality() > cap:
             raise BudgetExceeded(
                 f"{self.descriptor()} has {self.cardinality()} elements, "
@@ -424,6 +431,33 @@ class PolynomialRing(Ring):
         if one == self.base._zero():
             return ()
         return (one,)
+
+    # division over a prime-field base only (see EuclideanOps)
+
+    def _divmod(self, x: tuple, y: tuple) -> tuple[tuple, tuple]:
+        """Long division: (q, r) with x == q*y + r and r shorter than y."""
+        if not y:
+            raise ZeroDivisionError("division by zero")
+        p = self._modulus
+        rem = list(x)
+        lead_inv = pow(y[-1], -1, p)
+        dy = len(y) - 1
+        quot = [0] * max(len(x) - dy, 0)
+        while len(rem) > dy:
+            shift = len(rem) - 1 - dy
+            factor = (rem[-1] * lead_inv) % p
+            quot[shift] = factor
+            for i, c in enumerate(y):
+                rem[shift + i] = (rem[shift + i] - factor * c) % p
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return self._trim(quot), tuple(rem)
+
+    def _monic_unit(self, x: tuple) -> tuple[tuple, tuple]:
+        """The unit u with u*x monic, and its inverse; (1, 1) for zero."""
+        if not x:
+            return self._one(), self._one()
+        return (pow(x[-1], -1, self._modulus),), (x[-1],)
 
     def _payload_literal(self, x: tuple) -> list:
         return [self.base._payload_literal(c) for c in x]
@@ -1029,32 +1063,31 @@ class _DescriptorParser:
 # Euclidean payload helpers (integers and polynomials over a prime field)
 
 
-def _int_egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd with d >= 0 and s*a + t*b == d; (0, 0) maps to (0, 0, 0)."""
-    if a == 0 and b == 0:
-        return (0, 0, 0)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _sign_unit(x: int) -> tuple[int, int]:
+    u = -1 if x < 0 else 1
+    return u, u
 
 
 class EuclideanOps:
-    """Payload-level division helpers for the Euclidean rings in the family:
-    the integers and univariate polynomials over a prime field."""
+    """Payload-level division over the Euclidean rings of the family: the
+    integers and univariate polynomials over a prime field.
+
+    ``__init__`` is the one place that decides which rings qualify, and it
+    binds three ring-specific payload functions once:
+
+    * ``size(x)``, the Euclidean size, 0 exactly for zero: ``abs`` or ``len``;
+    * ``divmod(x, y)``, quotient and remainder: the builtin, or long division
+      over GF(p) (``PolynomialRing._divmod``);
+    * ``canonical_unit(x)``, the unit u with its inverse, where u*x is the
+      canonical associate (nonnegative, or monic).
+
+    ``egcd``, ``quotient`` and ``exact_div`` are written once over these."""
 
     def __init__(self, ring: Ring) -> None:
         if isinstance(ring, IntegerRing):
-            self.kind = "int"
+            self.size, self.divmod, self.canonical_unit = abs, divmod, _sign_unit
         elif isinstance(ring, PolynomialRing) and isinstance(ring.base, PrimeField):
-            self.kind = "poly"
+            self.size, self.divmod, self.canonical_unit = len, ring._divmod, ring._monic_unit
         else:
             raise UnsupportedRing(
                 f"{ring.descriptor()} is not Euclidean here; supported: "
@@ -1072,85 +1105,37 @@ class EuclideanOps:
     def mul(self, x, y):
         return self.ring._mul(x, y)
 
-    def neg(self, x):
-        return self.ring._neg(x)
-
-    def zero(self):
-        return self.ring._zero()
-
-    def one(self):
-        return self.ring._one()
-
-    def is_zero(self, x) -> bool:
-        return x == self.ring._zero()
-
-    def size(self, x) -> int:
-        """Euclidean size: 0 exactly for the zero element."""
-        if self.kind == "int":
-            return abs(x)
-        return len(x)
-
-    def divmod(self, x, y):
-        if self.is_zero(y):
-            raise ZeroDivisionError("division by zero")
-        if self.kind == "int":
-            return divmod(x, y)
-        ring = self.ring
-        field = ring.base
-        p = field.modulus
-        rem = list(x)
-        lead_inv = pow(y[-1], -1, p)
-        dy = len(y) - 1
-        quot = [0] * max(len(x) - dy, 0)
-        while len(rem) - 1 >= dy and rem:
-            shift = len(rem) - 1 - dy
-            factor = (rem[-1] * lead_inv) % p
-            quot[shift] = factor
-            for i, c in enumerate(y):
-                rem[shift + i] = (rem[shift + i] - factor * c) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return ring._trim(quot), tuple(rem)
-
-    def divides(self, x, y) -> bool:
-        """Whether x divides y."""
-        if self.is_zero(x):
-            return self.is_zero(y)
-        _, r = self.divmod(y, x)
-        return self.is_zero(r)
+    def quotient(self, x, y):
+        """x / y when y divides x, else None; zero divides only zero."""
+        zero = self.ring._zero()
+        if y == zero:
+            return zero if x == zero else None
+        q, r = self.divmod(x, y)
+        return q if r == zero else None
 
     def exact_div(self, x, y):
-        q, r = self.divmod(x, y)
-        if not self.is_zero(r):
-            raise ValueError("division is not exact")
+        """x / y; a remainder is an internal error, raised as AssertionError."""
+        q = self.quotient(x, y)
+        if q is None:
+            raise AssertionError("division is not exact")
         return q
 
     def egcd(self, x, y):
-        """(d, s, t) with s*x + t*y = d, d canonical (nonnegative or monic)."""
-        if self.kind == "int":
-            return _int_egcd(x, y)
-        if self.is_zero(x) and self.is_zero(y):
-            z = self.zero()
-            return z, z, z
+        """(d, s, t) with s*x + t*y = d, d canonical (nonnegative or monic);
+        (0, 0) maps to (0, 0, 0)."""
+        zero, one = self.ring._zero(), self.ring._one()
+        if x == zero and y == zero:
+            return zero, zero, zero
         old_r, r = x, y
-        old_s, s = self.one(), self.zero()
-        old_t, t = self.zero(), self.one()
-        while not self.is_zero(r):
+        old_s, s = one, zero
+        old_t, t = zero, one
+        while r != zero:
             q, rem = self.divmod(old_r, r)
             old_r, r = r, rem
             old_s, s = s, self.sub(old_s, self.mul(q, s))
             old_t, t = t, self.sub(old_t, self.mul(q, t))
-        u = self.canonical_unit(old_r)
+        u, _ = self.canonical_unit(old_r)
         return self.mul(u, old_r), self.mul(u, old_s), self.mul(u, old_t)
-
-    def canonical_unit(self, x):
-        """Unit u such that u*x is the canonical associate of x."""
-        if self.kind == "int":
-            return -1 if x < 0 else 1
-        if self.is_zero(x):
-            return self.one()
-        p = self.ring.base.modulus
-        return (pow(x[-1], -1, p),)
 
 
 # ---------------------------------------------------------------------------
@@ -1188,14 +1173,8 @@ def bezout_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement
     """
     ring = a.ring
     ring._own(b)
-    if isinstance(ring, ModularRing):
-        d, s, t = _int_egcd(a.payload, b.payload)
-        out = (ring.make(d), ring.make(s), ring.make(t))
-    else:
-        ops = EuclideanOps(ring)
-        d, s, t = ops.egcd(a.payload, b.payload)
-        out = (RingElement(ring, d), RingElement(ring, s), RingElement(ring, t))
-    dd, ss, tt = out
+    ops = EuclideanOps(IntegerRing() if isinstance(ring, ModularRing) else ring)
+    dd, ss, tt = out = tuple(ring.make(x) for x in ops.egcd(a.payload, b.payload))
     if ss * a + tt * b != dd:
         raise AssertionError("internal Bezout identity check failed")
     return out

@@ -173,6 +173,16 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert 'argv: ["snf"]' in out
 
 
+def test_inexact_internal_division_is_an_internal_error(capsys, monkeypatch):
+    # a gcd that divides neither entry makes the elimination divide inexactly
+    monkeypatch.setattr("ringlab.rings.EuclideanOps.egcd", lambda self, a, b: (7, 0, 0))
+    doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
+    code, out = run(capsys, "snf")
+    assert code == 4
+    assert out.startswith("internal error:")
+
+
 def test_bezout_verified_identity(capsys):
     code, out = run(capsys, "bezout", "12", "18")
     assert code == 0

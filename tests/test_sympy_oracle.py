@@ -11,11 +11,12 @@ import pytest
 
 pytest.importorskip("sympy")
 
-from sympy import GF, ZZ, symbols  # noqa: E402
+from sympy import GF, ZZ, Poly, div, gcd, symbols  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.matrices.normalforms import invariant_factors  # noqa: E402
 
 from ringlab import (  # noqa: E402
+    EuclideanOps,
     IntegerRing,
     PolynomialRing,
     PrimeField,
@@ -98,3 +99,59 @@ def test_polynomial_snf_matches_sympy():
         red = smith_normal_form(a)
         assert verify_reduction(a, red)
         assert [d.literal() for d in red.diagonal()] == sympy_polynomial_factors(grid), grid
+
+
+# ---------------------------------------------------------------------------
+# the Euclidean interface: division with remainder and the gcd over GF(p)[x]
+
+
+def sympy_poly(coeffs, p):
+    """``coeffs`` is a payload tuple, constant term first."""
+    return Poly(list(reversed(coeffs)) or [0], symbols("x"), modulus=p)
+
+
+def payload_of(poly, p):
+    coeffs = [int(c) % p for c in reversed(poly.all_coeffs())]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def polynomial_pairs(p, seed):
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(p))
+    pairs = []
+    for _ in range(60):
+        x, y = (
+            ring.make([rng.randrange(p) for _ in range(rng.randint(0, 7))]).payload
+            for _ in range(2)
+        )
+        if rng.random() < 0.3 and y:
+            # a shared factor, so that the gcd is not always one
+            x = ring._mul(x, y)
+        pairs.append((x, y))
+    return ring, pairs
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_polynomial_divmod_matches_sympy(p):
+    ring, pairs = polynomial_pairs(p, 0xD1 + p)
+    ops = EuclideanOps(ring)
+    for x, y in pairs:
+        if not y:
+            continue
+        q, r = ops.divmod(x, y)
+        sq, sr = div(sympy_poly(x, p), sympy_poly(y, p))
+        assert (q, r) == (payload_of(sq, p), payload_of(sr, p)), (x, y)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_polynomial_egcd_matches_sympy_monic_gcd(p):
+    ring, pairs = polynomial_pairs(p, 0xE2 + p)
+    ops = EuclideanOps(ring)
+    for x, y in pairs + [((), ()), ((), (1, 1))]:
+        d, s, t = ops.egcd(x, y)
+        expected = gcd(sympy_poly(x, p), sympy_poly(y, p))
+        assert d == payload_of(expected.monic() if expected else expected, p), (x, y)
+        assert ring._add(ring._mul(s, x), ring._mul(t, y)) == d
+
