@@ -127,6 +127,20 @@ def test_snf_witness_matches_recorded_output(capsys, monkeypatch, name):
     assert out == recorded["stdout"]
 
 
+@pytest.mark.parametrize("name", list(RECORDED_SNF_WITNESSES))
+def test_snf_fields_besides_the_witness_match_recorded_output(capsys, monkeypatch, name):
+    # D, its literals, the chain flag and the verify are canonical: a change of
+    # elimination strategy may move the witness, never these
+    recorded = RECORDED_SNF_WITNESSES[name]
+    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(recorded["input"])))
+    code, out = run(capsys, "snf", "--emit-witness")
+    assert code == 0
+    got, want = json.loads(out), json.loads(recorded["stdout"])
+    assert "witness" in got and "witness" in want
+    del got["witness"], want["witness"]
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
