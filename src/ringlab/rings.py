@@ -248,14 +248,10 @@ class IntegerRing(Ring):
     def _canon(self, raw: Any) -> int:
         return _check_int(raw)
 
-    def _add(self, x: int, y: int) -> int:
-        return x + y
-
-    def _neg(self, x: int) -> int:
-        return -x
-
-    def _mul(self, x: int, y: int) -> int:
-        return x * y
+    # the builtins themselves: no Python frame per payload operation
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
 
     def _dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
         return sum(map(operator.mul, xs, ys))
@@ -1068,16 +1064,27 @@ def _sign_unit(x: int) -> tuple[int, int]:
     return u, u
 
 
+def _nearest_divmod(x: int, y: int) -> tuple[int, int]:
+    """(q, r) with x == q*y + r and 2*|r| <= |y|: the remainder of least
+    absolute value."""
+    q, r = divmod(x, y)
+    if 2 * abs(r) > abs(y):
+        q, r = q + 1, r - y
+    return q, r
+
+
 class EuclideanOps:
     """Payload-level division over the Euclidean rings of the family: the
     integers and univariate polynomials over a prime field.
 
     ``__init__`` is the one place that decides which rings qualify, and it
-    binds three ring-specific payload functions once:
+    binds four ring-specific payload functions once:
 
     * ``size(x)``, the Euclidean size, 0 exactly for zero: ``abs`` or ``len``;
     * ``divmod(x, y)``, quotient and remainder: the builtin, or long division
       over GF(p) (``PolynomialRing._divmod``);
+    * ``nearest_divmod(x, y)``, the same with the smallest remainder: over the
+      integers the one of least absolute value, over GF(p)[x] ``divmod``;
     * ``canonical_unit(x)``, the unit u with its inverse, where u*x is the
       canonical associate (nonnegative, or monic).
 
@@ -1086,8 +1093,10 @@ class EuclideanOps:
     def __init__(self, ring: Ring) -> None:
         if isinstance(ring, IntegerRing):
             self.size, self.divmod, self.canonical_unit = abs, divmod, _sign_unit
+            self.nearest_divmod = _nearest_divmod
         elif isinstance(ring, PolynomialRing) and isinstance(ring.base, PrimeField):
             self.size, self.divmod, self.canonical_unit = len, ring._divmod, ring._monic_unit
+            self.nearest_divmod = ring._divmod
         else:
             raise UnsupportedRing(
                 f"{ring.descriptor()} is not Euclidean here; supported: "

@@ -179,7 +179,7 @@ def test_reduce_over_a_large_modulus(capsys, monkeypatch, modulus):
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("ringlab.matrices.verify_reduction", lambda A, red: False)
-    doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}
+    doc = {"ring": "integers", "rows": 2, "cols": 2, "entries": [2, 0, 0, 3]}
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
     code, out = run(capsys, "snf")
     assert code == 4
@@ -190,7 +190,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
 def test_inexact_internal_division_is_an_internal_error(capsys, monkeypatch):
     # a gcd that divides neither entry makes the elimination divide inexactly
     monkeypatch.setattr("ringlab.rings.EuclideanOps.egcd", lambda self, a, b: (7, 0, 0))
-    doc = {"ring": "integers", "rows": 1, "cols": 2, "entries": [4, 6]}
+    doc = {"ring": "integers", "rows": 2, "cols": 2, "entries": [2, 0, 0, 3]}
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
     code, out = run(capsys, "snf")
     assert code == 4

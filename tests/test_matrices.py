@@ -304,6 +304,35 @@ def test_snf_polynomial_diagonal_is_monic():
 
 
 # ---------------------------------------------------------------------------
+# witness size
+
+
+def test_witness_entries_stay_bounded():
+    # pivots cleared against the pivot row alone left 16x16 witnesses with
+    # entries past 14,000 bits (over the 4,300-digit int-to-str limit) and
+    # 6x6 gf(7)[x] witnesses past degree 70
+    rng = random.Random(0x5117)
+    gf7x = PolynomialRing(PrimeField(7))
+    inputs = [
+        RingMatrix.from_rows(Z, [[rng.randint(-1000, 1000) for _ in range(16)] for _ in range(16)])
+        for _ in range(16)
+    ] + [
+        RingMatrix.from_rows(
+            gf7x, [[[rng.randrange(7) for _ in range(3)] for _ in range(6)] for _ in range(6)]
+        )
+        for _ in range(16)
+    ]
+    for a in inputs:
+        red = smith_normal_form(a)
+        for transform in (red.P, red.P_inv, red.Q, red.Q_inv):
+            for x in transform.payloads:
+                if a.ring == Z:
+                    assert abs(x).bit_length() <= 1536
+                else:
+                    assert len(x) - 1 <= 48
+
+
+# ---------------------------------------------------------------------------
 # modular diagonal reduction
 
 
