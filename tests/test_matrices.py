@@ -308,9 +308,10 @@ def test_snf_polynomial_diagonal_is_monic():
 
 
 def test_witness_entries_stay_bounded():
-    # pivots cleared against the pivot row alone left 16x16 witnesses with
-    # entries past 14,000 bits (over the 4,300-digit int-to-str limit) and
-    # 6x6 gf(7)[x] witnesses past degree 70
+    # one Bezout step per entry against the pivot row takes these inputs to
+    # 9,608 bits (and one 16x16 draw in eight past 14,000 bits, over the
+    # 4,300-digit int-to-str limit); Euclidean rounds against the smallest
+    # entry give at most 920 bits and degree 34 here
     rng = random.Random(0x5117)
     gf7x = PolynomialRing(PrimeField(7))
     inputs = [
