@@ -174,6 +174,130 @@ def test_isomorphism_needs_common_ring():
         find_module_isomorphism(ring_module(Z4), ring_module(Z6))
 
 
+def _reference_isomorphism(left, right):
+    """The unpruned search as it stood before the injectivity pruning: the
+    annihilator of every point, the greedy generators by closure over every
+    scalar, and each extension closed over mapping x all scalars."""
+    scalars = [e.payload for e in left.ring.elements()]
+
+    def annihilator(m):
+        out = None
+        for x in m.points:
+            a = m.element_annihilator(x)
+            out = a if out is None else out & a
+        return out
+
+    def generators(m):
+        gens, reached = [], {m.zero}
+        for x in m.points:
+            if x in reached:
+                continue
+            gens.append(x)
+            reached = {m.add(y, m.scale(r, x)) for y in reached for r in scalars}
+            if len(reached) == len(m.points):
+                break
+        return gens
+
+    if len(left) != len(right) or annihilator(left) != annihilator(right):
+        return None
+    gens = generators(left)
+    if not gens:
+        return {left.zero: right.zero}
+    candidates = []
+    for g in gens:
+        needed = left.element_annihilator(g)
+        options = [y for y in right.points if needed <= right.element_annihilator(y)]
+        if not options:
+            return None
+        candidates.append(options)
+
+    def extend(mapping, g, image):
+        new = dict(mapping)
+        for x, fx in mapping.items():
+            for r in scalars:
+                p = left.add(x, left.scale(r, g))
+                q = right.add(fx, right.scale(r, image))
+                seen = new.get(p)
+                if seen is None:
+                    new[p] = q
+                elif seen != q:
+                    return None
+        return new
+
+    def search(index, mapping):
+        if index == len(gens):
+            return mapping if len(set(mapping.values())) == len(right) else None
+        for image in candidates[index]:
+            grown = extend(mapping, gens[index], image)
+            if grown is not None:
+                found = search(index + 1, grown)
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, {left.zero: right.zero})
+
+
+def _small_modules(ring):
+    """R, every dR, ann(d) and R/dR, and the direct sums of two of them (in
+    one order) with at most 64 points.  Modules with the same kind of rules
+    and the same points in the same order are one module, kept once."""
+    base = {("ideal", ring_module(ring).points): ring_module(ring)}
+    for d in ring.elements():
+        for m in (cyclic_submodule(d), annihilator_submodule(d)):
+            base.setdefault(("ideal", m.points), m)
+        m = quotient_by_cyclic(d)
+        base.setdefault(("quotient", m.points), m)
+    summands = list(base.values())
+    sums = [
+        direct_sum(a, b)
+        for i, a in enumerate(summands)
+        for b in summands[i:]
+        if len(a) * len(b) <= 64
+    ]
+    return summands + sums
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_isomorphism_search_matches_the_unpruned_search(n):
+    ring = ModularRing(n)
+    scalars = [e.payload for e in ring.elements()]
+    modules = _small_modules(ring)
+    found = 0
+    for left in modules:
+        for right in modules:
+            if len(left) != len(right):
+                continue
+            expected = _reference_isomorphism(left, right)
+            phi = find_module_isomorphism(left, right)
+            assert (phi is None) == (expected is None), (left, right)
+            if phi is None:
+                continue
+            found += 1
+            assert phi == expected, (left, right)
+            assert set(phi) == left.point_set
+            assert set(phi.values()) == right.point_set
+            for x in left.points:
+                for y in left.points:
+                    assert phi[left.add(x, y)] == right.add(phi[x], phi[y])
+                for r in scalars:
+                    assert phi[left.scale(r, x)] == right.scale(r, phi[x])
+    assert found
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_module_annihilator_is_the_intersection_over_every_point(n):
+    ring = ModularRing(n)
+    modules = _small_modules(ring)
+    zero = cyclic_submodule(ring.zero())
+    assert zero.annihilator() == frozenset(e.payload for e in ring.elements())
+    for m in [zero, *modules]:
+        expected = frozenset(e.payload for e in ring.elements())
+        for x in m.points:
+            expected &= m.element_annihilator(x)
+        assert m.annihilator() == expected, m
+
+
 # ---------------------------------------------------------------------------
 # projective modules
 
