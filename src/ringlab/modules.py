@@ -99,6 +99,7 @@ class FiniteModule:
         self.scale = scale
         self.label = label
         self._annihilators: dict[Any, frozenset] = {}
+        self._generators: Optional[tuple[Any, ...]] = None
         if zero not in self.point_set:
             raise ValueError("carrier does not contain the zero point")
         if self._checks_axioms and len(self.points) <= _AXIOM_CHECK_LIMIT:
@@ -169,12 +170,14 @@ class FiniteModule:
                         raise ValueError("scalar action fails r(x+y) = rx+ry")
 
     def annihilator(self) -> frozenset:
-        """Ring payloads killing every point."""
-        out = None
-        for x in self.points:
-            a = self.element_annihilator(x)
-            out = a if out is None else out & a
-        return out if out is not None else frozenset()
+        """Ring payloads killing every point: the intersection of the
+        annihilators of the generators, since over a commutative ring r
+        kills every combination of points it kills.  The zero module has no
+        generators, and the whole ring kills it."""
+        out = frozenset(e.payload for e in self.ring.elements())
+        for g in self.generators():
+            out &= self.element_annihilator(g)
+        return out
 
     def element_annihilator(self, x: Any) -> frozenset:
         cached = self._annihilators.get(x)
@@ -187,31 +190,38 @@ class FiniteModule:
             self._annihilators[x] = cached
         return cached
 
+    def multiples(self, g: Any) -> list[Any]:
+        """r*g for every ring payload r, in the ring's order."""
+        return [self.scale(e.payload, g) for e in self.ring.elements()]
+
+    def _grow(self, reached: Iterable[Any], g: Any) -> set:
+        """The points x + r*g for x in ``reached``, over the distinct
+        multiples r*g."""
+        multiples = set(self.multiples(g))
+        return {self.add(x, m) for x in reached for m in multiples}
+
     def span(self, generators: Iterable[Any]) -> frozenset:
-        scalars = [e.payload for e in self.ring.elements()]
         current = {self.zero}
         for g in generators:
-            current = {
-                self.add(x, self.scale(r, g)) for x in current for r in scalars
-            }
+            current = self._grow(current, g)
         return frozenset(current)
 
     def generators(self) -> tuple[Any, ...]:
         """A greedy generating sequence: walk the carrier in order, keeping
-        each point not yet in the span of the ones kept so far."""
-        scalars = [e.payload for e in self.ring.elements()]
-        gens: list[Any] = []
-        reached = {self.zero}
-        for x in self.points:
-            if x in reached:
-                continue
-            gens.append(x)
-            reached = {
-                self.add(y, self.scale(r, x)) for y in reached for r in scalars
-            }
-            if len(reached) == len(self.points):
-                break
-        return tuple(gens)
+        each point not yet in the span of the ones kept so far.  Computed
+        once per module."""
+        if self._generators is None:
+            gens: list[Any] = []
+            reached = {self.zero}
+            for x in self.points:
+                if x in reached:
+                    continue
+                gens.append(x)
+                reached = self._grow(reached, x)
+                if len(reached) == len(self.points):
+                    break
+            self._generators = tuple(gens)
+        return self._generators
 
 
 class _LibraryModule(FiniteModule):
@@ -399,10 +409,20 @@ def find_module_isomorphism(
     """An explicit isomorphism as a point map, or None.
 
     Searches homomorphisms seeded by generator images; each candidate image
-    must annihilate at least what the generator annihilates.  The incremental
-    span closure visits every representation of every point, so a completed
-    map is automatically well defined, additive, and scalar-compatible;
-    bijectivity is then a cardinality check on the image.
+    must annihilate at least what the generator annihilates.  Extending the
+    map by a generator g with image y first pairs every multiple r*g with
+    r*y, rejecting y when two scalars give one multiple and two images;
+    then it adds each of those multiples to each point already mapped.
+    That closure visits every representation of every point, so a completed
+    map is automatically well defined, additive, and scalar-compatible.
+    The annihilators compared up front are each module's
+    :meth:`FiniteModule.annihilator`, taken over its generators.
+
+    A mapped point is never remapped, so a map that sends two points to
+    one image can only fail the final bijectivity check (a cardinality
+    check on the image): an extension is cut off as soon as a new point
+    takes an image already taken, and the search returns the map the
+    unpruned search would have returned first.
     """
     if left.ring != right.ring:
         raise MismatchedRings("isomorphism testing needs a common base ring")
@@ -413,7 +433,6 @@ def find_module_isomorphism(
     gens = left.generators()
     if not gens:
         return {left.zero: right.zero}
-    scalars = [e.payload for e in left.ring.elements()]
     candidates: list[list[Any]] = []
     total = 1
     for g in gens:
@@ -431,33 +450,42 @@ def find_module_isomorphism(
             f"{total} candidate generator images exceed the search budget {cap}"
         )
 
-    def extend(mapping: dict, g: Any, image: Any) -> Optional[dict]:
-        new = dict(mapping)
+    def extend(
+        mapping: dict, taken: set, g: Any, image: Any
+    ) -> Optional[tuple[dict, set]]:
+        multiples: dict[Any, Any] = {}
+        for m, q in zip(left.multiples(g), right.multiples(image)):
+            if multiples.setdefault(m, q) != q:
+                return None
+        new, taken = dict(mapping), set(taken)
         for x, fx in mapping.items():
-            for r in scalars:
-                p = left.add(x, left.scale(r, g))
-                q = right.add(fx, right.scale(r, image))
+            for m, fm in multiples.items():
+                p = left.add(x, m)
+                q = right.add(fx, fm)
                 seen = new.get(p)
                 if seen is None:
+                    if q in taken:
+                        return None
                     new[p] = q
+                    taken.add(q)
                 elif seen != q:
                     return None
-        return new
+        return new, taken
 
-    def search(index: int, mapping: dict) -> Optional[dict]:
+    def search(index: int, mapping: dict, taken: set) -> Optional[dict]:
         if index == len(gens):
             if len(set(mapping.values())) == len(right):
                 return mapping
             return None
         for image in candidates[index]:
-            grown = extend(mapping, gens[index], image)
+            grown = extend(mapping, taken, gens[index], image)
             if grown is not None:
-                found = search(index + 1, grown)
+                found = search(index + 1, *grown)
                 if found is not None:
                     return found
         return None
 
-    return search(0, {left.zero: right.zero})
+    return search(0, {left.zero: right.zero}, {right.zero})
 
 
 def module_iso(
@@ -671,13 +699,18 @@ class VerifierReport:
 
 @dataclass(frozen=True)
 class RankVerdict:
-    """Outcome of a constant-rank or stably-free check."""
+    """Outcome of a constant-rank or stably-free check, with the
+    disagreement when the free module the check predicts is not isomorphic
+    to the module."""
 
     free: bool
     rank: Optional[int]
     localized_ranks: tuple[int, ...]
+    counterexample: Optional[str] = None
 
     def describe(self) -> str:
+        if self.counterexample is not None:
+            return f"violated: {self.counterexample}"
         if self.free:
             return f"free of rank {self.rank}"
         return f"non-constant rank {self.localized_ranks}"
@@ -819,7 +852,9 @@ def partition_of_unity_verify(
 
 
 def constant_rank_free_check(module: ProjectiveModule) -> RankVerdict:
-    """Constant localized rank forces freeness; otherwise report the ranks."""
+    """Constant localized rank forces freeness; otherwise report the ranks.
+    A constant-rank module that does not match R^r is reported as the
+    counterexample."""
     k = len(module.basis)
     ranks = tuple(
         localize_at_maximal(module, i).free_rank for i in range(k)
@@ -828,13 +863,20 @@ def constant_rank_free_check(module: ProjectiveModule) -> RankVerdict:
     if all(r == first for r in ranks):
         free = free_projective(module.ring, first)
         if not module_iso(module, free):
-            raise AssertionError("constant-rank module failed to match R^r")
+            return RankVerdict(
+                False,
+                None,
+                ranks,
+                f"{module.describe()} has constant rank {first}"
+                f" but is not isomorphic to R^{first}",
+            )
         return RankVerdict(True, first, ranks)
     return RankVerdict(False, None, ranks)
 
 
 def stably_free_check(module: ProjectiveModule, a: int, b: int) -> RankVerdict:
-    """Given the claim M + R^a = R^b, conclude M = R^(b-a), verified."""
+    """Given the claim M + R^a = R^b, conclude M = R^(b-a), verified; a
+    module that does not match R^(b-a) is reported as the counterexample."""
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
     for i, t in enumerate(module.multiplicities):
@@ -845,7 +887,13 @@ def stably_free_check(module: ProjectiveModule, a: int, b: int) -> RankVerdict:
     rank = b - a
     free = free_projective(module.ring, rank)
     if not module_iso(module, free):
-        raise AssertionError("stably free module failed to match R^(b-a)")
+        return RankVerdict(
+            False,
+            None,
+            module.multiplicities,
+            f"{module.describe()} (+) R^{a} = R^{b}"
+            f" but {module.describe()} is not isomorphic to R^{rank}",
+        )
     return RankVerdict(True, rank, module.multiplicities)
 
 

@@ -285,6 +285,27 @@ def test_isomorphism_search_matches_the_unpruned_search(n):
     assert found
 
 
+def test_decomposition_searches_over_z30_scale_few_times(monkeypatch):
+    # Calls to `scale` of every module built, nested calls included: 558,600
+    # for the unpruned search, whose closure ran over every scalar for every
+    # mapped point and whose annihilators covered every point; 76,860 now.
+    calls = []
+    init = FiniteModule.__init__
+
+    def counting_init(self, ring, points, zero, add, scale, label="M"):
+        def counted(r, x):
+            calls.append(None)
+            return scale(r, x)
+
+        init(self, ring, points, zero, add, counted, label)
+
+    monkeypatch.setattr(FiniteModule, "__init__", counting_init)
+    ring = ModularRing(30)
+    for a in ring.elements():
+        assert diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]])).holds
+    assert len(calls) < 100_000
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
 def test_module_annihilator_is_the_intersection_over_every_point(n):
     ring = ModularRing(n)
@@ -450,6 +471,27 @@ def test_stably_free_is_free():
     assert verdict.free and verdict.rank == 1
     with pytest.raises(ValueError):
         stably_free_check(projective_module(Z6, (2, 1)), 1, 3)
+
+
+def test_constant_rank_reports_a_rejected_free_module(monkeypatch):
+    monkeypatch.setattr("ringlab.modules.module_iso", lambda left, right: False)
+    verdict = constant_rank_free_check(projective_module(Z6, (2, 2)))
+    assert not verdict.free and verdict.rank is None
+    assert verdict.localized_ranks == (2, 2)
+    assert verdict.counterexample == (
+        "2(3R) + 2(4R) has constant rank 2 but is not isomorphic to R^2"
+    )
+    assert verdict.describe() == f"violated: {verdict.counterexample}"
+
+
+def test_stably_free_reports_a_rejected_free_module(monkeypatch):
+    monkeypatch.setattr("ringlab.modules.module_iso", lambda left, right: False)
+    verdict = stably_free_check(projective_module(Z6, (1, 1)), 1, 2)
+    assert not verdict.free and verdict.rank is None
+    assert verdict.counterexample == (
+        "1(3R) + 1(4R) (+) R^1 = R^2 but 1(3R) + 1(4R) is not isomorphic to R^1"
+    )
+    assert verdict.describe() == f"violated: {verdict.counterexample}"
 
 
 # ---------------------------------------------------------------------------
