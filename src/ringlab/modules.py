@@ -190,14 +190,14 @@ class FiniteModule:
             self._annihilators[x] = cached
         return cached
 
-    def multiples(self, g: Any) -> list[Any]:
+    def _multiples(self, g: Any) -> list[Any]:
         """r*g for every ring payload r, in the ring's order."""
         return [self.scale(e.payload, g) for e in self.ring.elements()]
 
     def _grow(self, reached: Iterable[Any], g: Any) -> set:
         """The points x + r*g for x in ``reached``, over the distinct
         multiples r*g."""
-        multiples = set(self.multiples(g))
+        multiples = set(self._multiples(g))
         return {self.add(x, m) for x in reached for m in multiples}
 
     def span(self, generators: Iterable[Any]) -> frozenset:
@@ -408,21 +408,22 @@ def find_module_isomorphism(
 ) -> Optional[dict]:
     """An explicit isomorphism as a point map, or None.
 
-    Searches homomorphisms seeded by generator images; each candidate image
-    must annihilate at least what the generator annihilates.  Extending the
-    map by a generator g with image y first pairs every multiple r*g with
-    r*y, rejecting y when two scalars give one multiple and two images;
-    then it adds each of those multiples to each point already mapped.
-    That closure visits every representation of every point, so a completed
-    map is automatically well defined, additive, and scalar-compatible.
-    The annihilators compared up front are each module's
-    :meth:`FiniteModule.annihilator`, taken over its generators.
+    The modules must have equal size and equal annihilators (each
+    :meth:`FiniteModule.annihilator` is taken over the module's
+    generators).  The search then tries images for the generators in turn;
+    each candidate image must annihilate at least what its generator
+    annihilates.  Extending the map by a generator g with image y pairs
+    each multiple r*g with r*y once, rejecting y when one multiple gets two
+    images, and adds each such multiple to each point already mapped.  That
+    closure visits every representation of every point, so a completed map
+    is automatically well defined, additive and scalar-compatible;
+    bijectivity is then a cardinality check on the image.
 
-    A mapped point is never remapped, so a map that sends two points to
-    one image can only fail the final bijectivity check (a cardinality
-    check on the image): an extension is cut off as soon as a new point
-    takes an image already taken, and the search returns the map the
-    unpruned search would have returned first.
+    Mapped points are never remapped, so a map that gives two points one
+    image can only fail that check: an extension stops as soon as a new
+    point takes an image already taken.  The pruned branches hold no
+    isomorphism, so the first map found is the one the unpruned search
+    finds.
     """
     if left.ring != right.ring:
         raise MismatchedRings("isomorphism testing needs a common base ring")
@@ -454,7 +455,7 @@ def find_module_isomorphism(
         mapping: dict, taken: set, g: Any, image: Any
     ) -> Optional[tuple[dict, set]]:
         multiples: dict[Any, Any] = {}
-        for m, q in zip(left.multiples(g), right.multiples(image)):
+        for m, q in zip(left._multiples(g), right._multiples(image)):
             if multiples.setdefault(m, q) != q:
                 return None
         new, taken = dict(mapping), set(taken)
