@@ -6,6 +6,7 @@ matrix over each prime factor separately and recombines by CRT.  Both are
 implemented here from scratch so they share no code with the library.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -569,6 +570,46 @@ def test_reduction_document_verifies_the_pair_it_is_given():
         hand.P, hand.P_inv, hand.Q, hand.Q_inv, RingMatrix.diagonal(Z, [2, 2])
     )
     assert reduction_to_document(a, tampered, include_witness=True)["verified"] is False
+
+
+# ---------------------------------------------------------------------------
+# witness pin: every reduction of the small-shape sweep, byte for byte
+
+_SWEEP_SHAPES = [(1, 1), (1, 2), (2, 1)]
+
+
+def _sweep_witness_digest(n, shapes):
+    """sha256 over the five payload tuples of every reduction of the given
+    shapes over Z/n, matrices in the sweep's enumeration order."""
+    ring = ModularRing(n)
+    payloads = [e.payload for e in ring.elements()]
+    digest = hashlib.sha256()
+    for rows, cols in shapes:
+        for combo in itertools.product(payloads, repeat=rows * cols):
+            red = diagonal_reduction(RingMatrix(ring, rows, cols, combo))
+            for matrix in (red.P, red.P_inv, red.Q, red.Q_inv, red.D):
+                digest.update(repr(matrix.payloads).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, shapes, recorded",
+    [
+        (4, _SWEEP_SHAPES, "2b78908129c4974e4b36f8bb9413f66d6503e0c5bc3314dbb039992922c61ed6"),
+        (12, _SWEEP_SHAPES, "729a977404830758f9ad47d7f6202ba4e2f5a072c2daffd1dbc26a972e6627d8"),
+        (30, _SWEEP_SHAPES, "3428ae0cd0014f9bd89daf68b6179ade6babdde77f1a51c32cb1c70fc8b2cd3c"),
+        (
+            6,
+            _SWEEP_SHAPES + [(2, 2)],
+            "a036fbabd8b07638704868ddb57b0cd3d37eca843fb7d5643403abfc401eb907",
+        ),
+    ],
+    ids=["z4", "z12", "z30", "z6-with-2x2"],
+)
+def test_sweep_witnesses_match_the_recorded_digests(n, shapes, recorded):
+    # a change of the reduction code that keeps the elimination keeps every
+    # witness: P, P_inv, Q, Q_inv and D of each matrix stay the same
+    assert _sweep_witness_digest(n, shapes) == recorded
 
 
 # ---------------------------------------------------------------------------
