@@ -30,11 +30,19 @@ A ``RingMatrix`` stores the canonical payloads of its entries, which its
 constructor trusts as ``RingElement(ring, payload)`` does; literals and
 elements go through ``from_rows``, ``diagonal`` or ``map_entries``.
 
-Each reduction is verified once, where it is built, and carries the matrix
-it was verified against; ``reduction_to_document`` (the output of ``ringlab
-snf``/``reduce``) reports that verify instead of repeating it, and verifies
-any other pair itself.  Every matrix product runs through
-``_matmul_payloads``, one ring payload dot product (``Ring._dot``) per entry.
+One payload-level kernel, ``_reduce_payloads(ring, a, m, n)``, runs every
+reduction: it eliminates over the ring (or over the integer lift of Z/n,
+projecting mod n) and returns the row-major payload tuples of P, P_inv, Q,
+Q_inv and D, verified once by ``_reduction_holds``, the one payload check
+(D diagonal, both transform pairs multiply to the identity, P A Q = D).
+``smith_normal_form`` and ``diagonal_reduction`` only wrap those tuples,
+``verify_reduction`` is its shape and ring checks plus the same payload
+check, and the small-shape sweep of ``ringlab verify`` calls the kernel on
+bare payload tuples.  A wrapped reduction carries the matrix it was verified
+against; ``reduction_to_document`` (the output of ``ringlab snf``/``reduce``)
+reports that verify instead of repeating it, and verifies any other pair
+itself.  Every matrix product runs through ``_matmul_payloads``, one ring
+payload dot product (``Ring._dot``) per entry.
 """
 
 from __future__ import annotations
@@ -69,6 +77,41 @@ def _matmul_payloads(
     columns = [b[j::n] for j in range(n)]
     rows = [a[start : start + k] for start in range(0, m * k, k)]
     return tuple([dot(row, column) for row in rows for column in columns])
+
+
+def _identity(zero: Any, one: Any, size: int) -> tuple[Any, ...]:
+    """Row-major payloads of the size x size identity matrix."""
+    return tuple([one if i == j else zero for i in range(size) for j in range(size)])
+
+
+def _rows(flat: Sequence[Any], cols: int) -> list[list[Any]]:
+    """Row-major payloads split into mutable rows of ``cols`` entries."""
+    return [list(flat[i : i + cols]) for i in range(0, len(flat), cols)]
+
+
+def _reduction_holds(
+    ring: Ring,
+    a: Sequence[Any],
+    m: int,
+    n: int,
+    P: Sequence[Any],
+    Pi: Sequence[Any],
+    Q: Sequence[Any],
+    Qi: Sequence[Any],
+    D: Sequence[Any],
+) -> bool:
+    """The one payload check of a reduction of the m x n matrix ``a`` over
+    ``ring``, all arguments row-major payload tuples of matching shapes: D is
+    diagonal, P @ Pi and Q @ Qi are the identity, and P @ a @ Q == D."""
+    zero, one = ring._zero(), ring._one()
+    if any(D[k] != zero for k in range(m * n) if k // n != k % n):
+        return False
+    return (
+        _matmul_payloads(ring, P, Pi, m, m, m) == _identity(zero, one, m)
+        and _matmul_payloads(ring, Q, Qi, n, n, n) == _identity(zero, one, n)
+        and _matmul_payloads(ring, _matmul_payloads(ring, P, a, m, m, n), Q, m, n, n)
+        == D
+    )
 
 
 def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
@@ -111,13 +154,7 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "RingMatrix":
-        zero, one = ring._zero(), ring._one()
-        return cls(
-            ring,
-            size,
-            size,
-            tuple(one if i == j else zero for i in range(size) for j in range(size)),
-        )
+        return cls(ring, size, size, _identity(ring._zero(), ring._one(), size))
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
@@ -221,38 +258,26 @@ class DiagonalReduction:
         return self.D.diagonal_entries()
 
 
-def _is_identity_product(ring: Ring, x: RingMatrix, y: RingMatrix) -> bool:
-    """Whether x @ y is the identity matrix over ``ring``; raises where the
-    product itself would."""
-    _check_product(x, y)
-    size = x.rows
-    if x.ring != ring or y.cols != size:
-        return False
-    product = _matmul_payloads(ring, x.payloads, y.payloads, size, x.cols, size)
-    return product == RingMatrix.identity(ring, size).payloads
-
-
 def verify_reduction(A: RingMatrix, red: DiagonalReduction) -> bool:
     """Exact check: D diagonal, P @ A @ Q == D, and both transform pairs
     multiply to the identity.  Raises on shape mismatch, and on a transform
-    whose stored inverse lies over a different ring."""
+    whose stored inverse lies over a different ring; a witness over another
+    ring than A's is not a reduction of A."""
     m, n = A.rows, A.cols
     if red.P.rows != m or red.P.cols != m or red.Q.rows != n or red.Q.cols != n:
         raise ValueError("transform shapes do not match the matrix")
     if red.D.rows != m or red.D.cols != n:
         raise ValueError("diagonal matrix shape does not match the input")
-    if not red.D.is_diagonal():
-        return False
     ring = A.ring
-    if not (
-        _is_identity_product(ring, red.P, red.P_inv)
-        and _is_identity_product(ring, red.Q, red.Q_inv)
-    ):
-        return False
+    # the P pair decides before the Q pair is multiplied
+    for x, y in ((red.P, red.P_inv), (red.Q, red.Q_inv)):
+        _check_product(x, y)
+        if x.ring != ring or y.cols != x.rows:
+            return False
     if red.D.ring != ring:
         return False
-    pa = _matmul_payloads(ring, red.P.payloads, A.payloads, m, m, n)
-    return _matmul_payloads(ring, pa, red.Q.payloads, m, n, n) == red.D.payloads
+    witness = (red.P, red.P_inv, red.Q, red.Q_inv, red.D)
+    return _reduction_holds(ring, A.payloads, m, n, *(x.payloads for x in witness))
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +291,17 @@ class _ReductionState:
     update their lines in place: on the short lines of small inputs that is
     about twice as fast as building new lists."""
 
-    def __init__(self, ops: EuclideanOps, grid: list[list[Any]]) -> None:
+    def __init__(self, ops: EuclideanOps, a: Sequence[Any], m: int, n: int) -> None:
         ring = ops.ring
         self.ops = ops
         self.add, self.mul, self.neg = ring._add, ring._mul, ring._neg
         zero, one = ring._zero(), ring._one()
         self.zero, self.one = zero, one
-        self.M = [list(row) for row in grid]
-        self.m = len(grid)
-        self.n = len(grid[0])
-        self.P = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-        self.Pi = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-        self.Q = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.Qi = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
+        self.M = _rows(a, n)
+        self.m, self.n = m, n
+        eye_m, eye_n = _identity(zero, one, m), _identity(zero, one, n)
+        self.P, self.Pi = _rows(eye_m, m), _rows(eye_m, m)
+        self.Q, self.Qi = _rows(eye_n, n), _rows(eye_n, n)
 
     # row operations: M <- L @ M, P <- L @ P, Pi <- Pi @ L^-1
 
@@ -467,13 +490,11 @@ def _canonicalize_diagonal(state: _ReductionState) -> None:
             state.row_scale(i, u, u_inv)
 
 
-def _smith_core(ring: Ring, A: RingMatrix) -> _ReductionState:
-    """The elimination behind :func:`smith_normal_form`, run over ``ring`` on
-    the entry payloads of A.  Nothing here is verified: each public entry
-    point verifies the one reduction it returns."""
-    payloads = A.payloads
-    grid = [payloads[i : i + A.cols] for i in range(0, len(payloads), A.cols)]
-    state = _ReductionState(EuclideanOps(ring), grid)
+def _smith_core(ring: Ring, a: Sequence[Any], m: int, n: int) -> _ReductionState:
+    """The elimination over the Euclidean ``ring`` on the row-major payloads
+    of an m x n matrix.  Nothing here is verified: the kernel verifies the
+    one reduction it returns."""
+    state = _ReductionState(EuclideanOps(ring), a, m, n)
     for k in range(min(state.m, state.n)):
         pivot = _find_pivot(state, k)
         if pivot is None:
@@ -488,28 +509,45 @@ def _smith_core(ring: Ring, A: RingMatrix) -> _ReductionState:
     return state
 
 
-def _verified(
-    A: RingMatrix,
-    state: _ReductionState,
-    project: Callable[[Iterable[Any]], tuple[Any, ...]],
-) -> DiagonalReduction:
-    """Wrap the accumulators of ``state`` (their row-major payloads turned
-    into a tuple by ``project``, one call per matrix) as a reduction of A,
-    verify it once, and mark it as verified for A."""
+def _reduce_payloads(
+    ring: Ring, a: Sequence[Any], m: int, n: int
+) -> tuple[tuple[Any, ...], ...]:
+    """The reduction kernel: the row-major payload tuples (P, P_inv, Q, Q_inv,
+    D) of a reduction of the m x n matrix with payloads ``a`` over ``ring``,
+    verified once.  A modular ring is reduced over the integer lift of its
+    payloads and the whole witness family projected mod n (determinant-one
+    transforms stay invertible); any other ring must be Euclidean.  The
+    check raises explicitly, so it also runs under ``python -O``."""
+    if isinstance(ring, ModularRing):
+        modulus = ring.modulus
+        state = _smith_core(IntegerRing(), a, m, n)
 
-    def wrap(grid: list[list[Any]]) -> RingMatrix:
-        flat = project(itertools.chain.from_iterable(grid))
-        return RingMatrix(A.ring, len(grid), len(grid[0]), flat)
+        def flat(grid: list[list[Any]]) -> tuple[Any, ...]:
+            return tuple([x % modulus for row in grid for x in row])
 
-    red = DiagonalReduction(
-        P=wrap(state.P),
-        P_inv=wrap(state.Pi),
-        Q=wrap(state.Q),
-        Q_inv=wrap(state.Qi),
-        D=wrap(state.M),
-    )
-    if not verify_reduction(A, red):
+    else:
+        state = _smith_core(ring, a, m, n)
+
+        def flat(grid: list[list[Any]]) -> tuple[Any, ...]:
+            return tuple(itertools.chain.from_iterable(grid))
+
+    P, Pi, Q, Qi, D = map(flat, (state.P, state.Pi, state.Q, state.Qi, state.M))
+    if not _reduction_holds(ring, a, m, n, P, Pi, Q, Qi, D):
         raise AssertionError("reduction verification failed; this is a bug")
+    return P, Pi, Q, Qi, D
+
+
+def _wrapped_reduction(A: RingMatrix) -> DiagonalReduction:
+    """The kernel's reduction of A as matrices, marked as verified for A."""
+    ring, m, n = A.ring, A.rows, A.cols
+    P, Pi, Q, Qi, D = _reduce_payloads(ring, A.payloads, m, n)
+    red = DiagonalReduction(
+        P=RingMatrix(ring, m, m, P),
+        P_inv=RingMatrix(ring, m, m, Pi),
+        Q=RingMatrix(ring, n, n, Q),
+        Q_inv=RingMatrix(ring, n, n, Qi),
+        D=RingMatrix(ring, m, n, D),
+    )
     object.__setattr__(red, "_verified_for", A)
     return red
 
@@ -518,7 +556,9 @@ def smith_normal_form(A: RingMatrix) -> DiagonalReduction:
     """Witnessed diagonal form over the integers or polynomials over a prime
     field: canonical diagonal entries, zeros last, each entry dividing the
     next.  The returned witnesses are verified before returning."""
-    return _verified(A, _smith_core(A.ring, A), tuple)
+    if isinstance(A.ring, ModularRing):
+        EuclideanOps(A.ring)  # raises UnsupportedRing: Z/n is not Euclidean here
+    return _wrapped_reduction(A)
 
 
 def diagonal_reduction(A: RingMatrix) -> DiagonalReduction:
@@ -530,10 +570,7 @@ def diagonal_reduction(A: RingMatrix) -> DiagonalReduction:
         raise UnsupportedRing(
             f"diagonal_reduction expects a modular ring, got {ring.descriptor()}"
         )
-    n = ring.modulus
-    return _verified(
-        A, _smith_core(IntegerRing(), A), lambda flat: tuple([x % n for x in flat])
-    )
+    return _wrapped_reduction(A)
 
 
 def reduce_matrix(A: RingMatrix) -> DiagonalReduction:

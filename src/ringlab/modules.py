@@ -33,13 +33,12 @@ from .errors import (
     search_budget,
 )
 from .matrices import (
-    DiagonalReduction,
     RingMatrix,
     _matmul_payloads,
+    _reduce_payloads,
+    _reduction_holds,
     _structural_regularity,
-    diagonal_reduction,
     is_regular_matrix,
-    verify_reduction,
 )
 from .monoids import MonoidPresentation, cancellation_law_check, conical_check, refine
 from .rings import (
@@ -903,9 +902,17 @@ def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
     satisfy ann(d_j) (+) d_j R = R and R/d_j R (+) d_j R = R, checked by
     explicit isomorphism search.  Cardinalities of the full kernel, image, and
     cokernel are cross-checked against the per-index factors when enumerable."""
-    ring = f.ring
-    if not ring.is_finite():
+    if not f.ring.is_finite():
         raise UnsupportedRing("the refinement check enumerates modules; finite only")
+    return _diagonal_refinement(f, ring_module(f.ring))
+
+
+def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierReport:
+    """:func:`diagonal_refinement_check` of f over a finite ring, against the
+    given ``ring_module(f.ring)``: callers that check many matrices over one
+    ring share it, and with it the annihilators the isomorphism search
+    caches on its points."""
+    ring = f.ring
     if isinstance(ring, ModularRing):
         red, g = _structural_regularity(f)
         regular, diag = g is not None, red.diagonal()
@@ -919,7 +926,6 @@ def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
             f"no reduction available over {ring.descriptor()}; pass a diagonal matrix"
         )
     r = len(diag)
-    unit_module = ring_module(ring)
     details = []
     checked = 0
     factor_sizes = []
@@ -978,12 +984,13 @@ def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
 
 def decomposition_verify(ring: Ring) -> VerifierReport:
     """:func:`diagonal_refinement_check` on the 1x1 matrix [a] for every
-    regular element a of the ring."""
+    regular element a of the ring, all against one ``ring_module(ring)``."""
     regular = [a for a in ring.elements() if is_regular_element(a)[0]]
+    unit_module = ring_module(ring)
     failing = [
         a.literal()
         for a in regular
-        if not diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]])).holds
+        if not _diagonal_refinement(RingMatrix.from_rows(ring, [[a]]), unit_module).holds
     ]
     return VerifierReport(
         name="decomposition",
@@ -1012,18 +1019,17 @@ class _SmallShapeSweep:
 
 def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     """Reduce each matrix of the shapes 1x1, 1x2, 2x1 (2x2 when |R|^4 fits
-    the element budget) once, and count the regular ones (all diagonal
-    entries regular).  Each regular reduction is projected through the
-    radical and verified over R/J(R) until one fails; when J(R) = 0 the
-    projection is the identity and would repeat the verify just made."""
+    the element budget) once, on bare payload tuples through the reduction
+    kernel (which verifies each reduction), and count the regular ones (all
+    diagonal payloads of D regular).  Each regular reduction is mapped
+    through the radical, entry by entry, and checked over R/J(R) by the
+    kernel's payload check until one fails; when J(R) = 0 the projection is
+    the identity and would repeat the check just made.  Only a failing
+    matrix is wrapped as a ``RingMatrix``."""
     radical, quotient, project = jacobson_radical_and_quotient(ring)
     elements = ring.elements()
     regular_payloads = {a.payload for a in elements if is_regular_element(a)[0]}
     image = {a.payload: project(a).payload for a in elements}
-
-    def down(m: RingMatrix) -> RingMatrix:
-        return RingMatrix(quotient, m.rows, m.cols, tuple([image[p] for p in m.payloads]))
-
     shapes = [(1, 1), (1, 2), (2, 1)]
     if len(elements) ** 4 <= element_budget(budget):
         shapes.append((2, 2))
@@ -1034,18 +1040,15 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
         shape_regular = 0
         # the keys of ``image`` are the ring's payloads in enumeration order
         for combo in itertools.product(image, repeat=rows * cols):
-            mat = RingMatrix(ring, rows, cols, combo)
-            red = diagonal_reduction(mat)
-            D = red.D.payloads
+            witness = _reduce_payloads(ring, combo, rows, cols)
+            D = witness[4]
             if any(D[i * cols + i] not in regular_payloads for i in range(min(rows, cols))):
                 continue
             shape_regular += 1
             if len(radical) > 1 and bad is None:
-                mapped = DiagonalReduction(
-                    *(down(m) for m in (red.P, red.P_inv, red.Q, red.Q_inv, red.D))
-                )
-                if not verify_reduction(down(mat), mapped):
-                    bad = mat
+                mapped = [tuple([image[p] for p in t]) for t in (combo, *witness)]
+                if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
+                    bad = RingMatrix(ring, rows, cols, combo)
         shape_total = len(elements) ** (rows * cols)
         seen += shape_total
         regular_count += shape_regular

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ringlab.matrices
+import ringlab.modules
 from ringlab import (
     ModularRing,
     VerifierReport,
@@ -149,15 +150,16 @@ def test_snf_fields_besides_the_witness_match_recorded_output(capsys, monkeypatc
     ],
 )
 def test_reduction_commands_verify_each_witness_once(capsys, monkeypatch, command, doc):
-    original = ringlab.matrices.verify_reduction
+    # every verify, the kernel's and verify_reduction's, is one payload check
+    original = ringlab.matrices._reduction_holds
     count = 0
 
-    def counted(A, red):
+    def counted(*args):
         nonlocal count
         count += 1
-        return original(A, red)
+        return original(*args)
 
-    monkeypatch.setattr("ringlab.matrices.verify_reduction", counted)
+    monkeypatch.setattr("ringlab.matrices._reduction_holds", counted)
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
     code, out = run(capsys, command, "--emit-witness")
     assert code == 0
@@ -178,13 +180,40 @@ def test_reduce_over_a_large_modulus(capsys, monkeypatch, modulus):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr("ringlab.matrices.verify_reduction", lambda A, red: False)
+    monkeypatch.setattr("ringlab.matrices._reduction_holds", lambda *args: False)
     doc = {"ring": "integers", "rows": 2, "cols": 2, "entries": [2, 0, 0, 3]}
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
     code, out = run(capsys, "snf")
     assert code == 4
     assert out.startswith("internal error: reduction verification failed")
     assert 'argv: ["snf"]' in out
+
+
+def test_failed_kernel_check_in_verify_is_an_internal_error(capsys, monkeypatch):
+    # a reduction that fails its own check is a bug (exit 4), not a violation
+    monkeypatch.setattr("ringlab.matrices._reduction_holds", lambda *args: False)
+    code, out = run(capsys, "verify", "--ring", "modular(4)", "--bound", "1")
+    assert code == 4
+    assert out.startswith("internal error: reduction verification failed")
+
+
+def test_kernel_check_survives_python_O():
+    """The reduction kernel's check is a raise, not an assert, so a failed
+    check still stops ``ringlab verify`` when Python strips assert statements."""
+    script = """
+import ringlab.cli, ringlab.matrices
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+ringlab.matrices._reduction_holds = lambda *args: False
+print("exit", ringlab.cli.main(["verify", "--ring", "modular(4)", "--bound", "1"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "internal error: reduction verification failed; this is a bug"
+    assert lines[-1] == "exit 4"
 
 
 def test_inexact_internal_division_is_an_internal_error(capsys, monkeypatch):
@@ -394,13 +423,15 @@ def test_verify_rejects_a_negative_bound(capsys):
 
 
 def test_verify_reports_a_failed_decomposition(capsys, monkeypatch):
-    def fail_at_three(f):
-        report = diagonal_refinement_check(f)
+    original = ringlab.modules._diagonal_refinement
+
+    def fail_at_three(f, unit_module):
+        report = original(f, unit_module)
         if f.entry(0, 0).literal() != 3:
             return report
         return VerifierReport(report.name, report.instance, False, report.checked)
 
-    monkeypatch.setattr("ringlab.modules.diagonal_refinement_check", fail_at_three)
+    monkeypatch.setattr("ringlab.modules._diagonal_refinement", fail_at_three)
     code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
     assert code == 1
     assert out.endswith(
@@ -447,16 +478,18 @@ def test_verify_reports_a_wrong_projection(capsys, monkeypatch):
     ],
 )
 def test_verify_reduces_each_small_matrix_once(capsys, monkeypatch, ring, calls):
-    original = ringlab.matrices.diagonal_reduction
+    # the sweep calls the reduction kernel directly, and diagonal_reduction
+    # (the decomposition section) calls it once per matrix
+    original = ringlab.matrices._reduce_payloads
     count = 0
 
-    def counted(A):
+    def counted(*args):
         nonlocal count
         count += 1
-        return original(A)
+        return original(*args)
 
-    monkeypatch.setattr("ringlab.matrices.diagonal_reduction", counted)
-    monkeypatch.setattr("ringlab.modules.diagonal_reduction", counted)
+    monkeypatch.setattr("ringlab.matrices._reduce_payloads", counted)
+    monkeypatch.setattr("ringlab.modules._reduce_payloads", counted)
     code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
     assert code == 0
     assert count == calls

@@ -37,6 +37,7 @@ from ringlab import (
     smith_normal_form,
     verify_reduction,
 )
+from ringlab.matrices import _reduction_holds
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -783,6 +784,46 @@ def test_verify_detects_each_tampered_witness(a):
     assert not verify_reduction(a, _replace(red, D=off))
     wrong_entry = _tamper(red.D, 0, 0)
     assert not verify_reduction(a, _replace(red, D=wrong_entry))
+
+
+@pytest.mark.parametrize(
+    "ring, rows",
+    [(Z6, [[2, 3], [4, 1]]), (Z, [[2, 4, 3], [4, 6, 1]])],
+    ids=["z6", "z"],
+)
+@pytest.mark.parametrize("target, i, j", [("P_inv", 0, 0), ("Q", 1, 0), ("D", 0, 1)])
+def test_payload_check_rejects_one_tampered_entry(ring, rows, target, i, j):
+    # one entry of P_inv, of Q, or off the diagonal of D, moved by one
+    a = RingMatrix.from_rows(ring, rows)
+    red = reduce_matrix(a)
+    names = ("P", "P_inv", "Q", "Q_inv", "D")
+    witness = [getattr(red, name).payloads for name in names]
+    assert _reduction_holds(ring, a.payloads, a.rows, a.cols, *witness)
+    tampered = _tamper(getattr(red, target), i, j)
+    witness[names.index(target)] = tampered.payloads
+    assert not _reduction_holds(ring, a.payloads, a.rows, a.cols, *witness)
+    assert not verify_reduction(a, _replace(red, **{target: tampered}))
+
+
+@pytest.mark.parametrize("ring, m, n", [(Z6, 2, 2), (Z, 2, 3)], ids=["z6", "z"])
+def test_each_part_of_the_payload_check_decides_alone(ring, m, n):
+    # with A = D = 0, P A Q = D holds for any transforms, so only the pair
+    # checks can reject a tampered P_inv or Q; a non-diagonal A with identity
+    # transforms and D = A fails only the diagonality check
+    eye_m = RingMatrix.identity(ring, m)
+    eye_n = RingMatrix.identity(ring, n)
+    zero = RingMatrix.zeros(ring, m, n)
+    off = _tamper(zero, 0, 1)
+    cases = [
+        (zero, DiagonalReduction(eye_m, eye_m, eye_n, eye_n, zero), True),
+        (zero, DiagonalReduction(eye_m, _tamper(eye_m, 0, 0), eye_n, eye_n, zero), False),
+        (zero, DiagonalReduction(eye_m, eye_m, _tamper(eye_n, 1, 0), eye_n, zero), False),
+        (off, DiagonalReduction(eye_m, eye_m, eye_n, eye_n, off), False),
+    ]
+    for a, red, holds in cases:
+        witness = (red.P, red.P_inv, red.Q, red.Q_inv, red.D)
+        assert _reduction_holds(ring, a.payloads, m, n, *(x.payloads for x in witness)) is holds
+        assert verify_reduction(a, red) is holds
 
 
 def test_verify_shape_mismatches_raise():

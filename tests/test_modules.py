@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import ringlab.modules
 from ringlab import (
     BudgetExceeded,
     FiniteModule,
@@ -288,7 +289,9 @@ def test_isomorphism_search_matches_the_unpruned_search(n):
 def test_decomposition_searches_over_z30_scale_few_times(monkeypatch):
     # Calls to `scale` of every module built, nested calls included: 558,600
     # for the unpruned search, whose closure ran over every scalar for every
-    # mapped point and whose annihilators covered every point; 76,860 now.
+    # mapped point and whose annihilators covered every point; 76,860 with a
+    # fresh ring module per checked element, whose annihilators the search
+    # recomputed each time; 49,890 now that the 30 checks share one.
     calls = []
     init = FiniteModule.__init__
 
@@ -300,10 +303,9 @@ def test_decomposition_searches_over_z30_scale_few_times(monkeypatch):
         init(self, ring, points, zero, add, counted, label)
 
     monkeypatch.setattr(FiniteModule, "__init__", counting_init)
-    ring = ModularRing(30)
-    for a in ring.elements():
-        assert diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]])).holds
-    assert len(calls) < 100_000
+    report = decomposition_verify(ModularRing(30))
+    assert report.holds and report.checked == 30
+    assert len(calls) < 52_000
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
@@ -690,13 +692,15 @@ def test_refinement_verify_reports_a_failed_splitting(monkeypatch):
 
 
 def test_decomposition_verify_names_the_failing_element(monkeypatch):
-    def fail_at_three(f):
-        report = diagonal_refinement_check(f)
+    original = ringlab.modules._diagonal_refinement
+
+    def fail_at_three(f, unit_module):
+        report = original(f, unit_module)
         if f.entry(0, 0).literal() != 3:
             return report
         return VerifierReport(report.name, report.instance, False, report.checked)
 
-    monkeypatch.setattr("ringlab.modules.diagonal_refinement_check", fail_at_three)
+    monkeypatch.setattr("ringlab.modules._diagonal_refinement", fail_at_three)
     report = decomposition_verify(Z6)
     assert not report.holds
     assert report.checked == 6
