@@ -521,16 +521,10 @@ def _reduce_payloads(
     if isinstance(ring, ModularRing):
         modulus = ring.modulus
         state = _smith_core(IntegerRing(), a, m, n)
-
-        def flat(grid: list[list[Any]]) -> tuple[Any, ...]:
-            return tuple([x % modulus for row in grid for x in row])
-
+        flat = lambda grid: tuple([x % modulus for row in grid for x in row])
     else:
         state = _smith_core(ring, a, m, n)
-
-        def flat(grid: list[list[Any]]) -> tuple[Any, ...]:
-            return tuple(itertools.chain.from_iterable(grid))
-
+        flat = lambda grid: tuple(itertools.chain.from_iterable(grid))
     P, Pi, Q, Qi, D = map(flat, (state.P, state.Pi, state.Q, state.Qi, state.M))
     if not _reduction_holds(ring, a, m, n, P, Pi, Q, Qi, D):
         raise AssertionError("reduction verification failed; this is a bug")
