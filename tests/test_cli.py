@@ -12,7 +12,6 @@ import ringlab.modules
 from ringlab import (
     ModularRing,
     VerifierReport,
-    diagonal_refinement_check,
     jacobson_radical_and_quotient,
 )
 from ringlab.cli import main
