@@ -228,6 +228,8 @@ def _outcome(search, generators, bound):
 
 Z4X_DIFF = PolynomialRing(ModularRing(4))
 Z6X_DIFF = PolynomialRing(ModularRing(6))
+Z8X_DIFF = PolynomialRing(ModularRing(8))
+Z9X_DIFF = PolynomialRing(ModularRing(9))
 F3XY = BivariatePolynomialRing(PrimeField(3), bound=1)
 
 
@@ -236,6 +238,7 @@ def _differential_cases():
     two = Z4X_DIFF.make(2)
     gx2, gy2 = F2XY.gens()
     gx3, gy3 = F3XY.gens()
+    X8, X9 = Z8X_DIFF.gen(), Z9X_DIFF.gen()
     cases = [("Z4[X] (2, X)", [two, X], d) for d in (1, 2, 3)]
     for label, gens in (
         ("Z4[X] (2, 2X)", [two, Z4X_DIFF.make([0, 2])]),
@@ -249,6 +252,12 @@ def _differential_cases():
         ("F2[X,Y] (X, Y)", [gx2, gy2], 2),
         ("F2[X,Y] (X, X^2)", [gx2, gx2 * gx2], 2),
         ("F3[X,Y] (X, Y)", [gx3, gy3], 1),
+        # principal, generated by 3
+        ("Z9[X] (3, 3X)", [Z9X_DIFF.make(3), Z9X_DIFF.make(3) * X9], 1),
+        ("Z8[X] (2X, 4)", [Z8X_DIFF.make(2) * X8, Z8X_DIFF.make(4)], 1),
+        ("Z4[X] (X^2+2)", [X * X + two], 3),
+        # principal, generated by X+Y
+        ("F2[X,Y] (X+Y, X^2+XY)", [gx2 + gy2, gx2 * gx2 + gx2 * gy2], 2),
     ]
     return cases
 
