@@ -83,11 +83,23 @@ def bounded_principality_check(
     runs over each generator's distinct products f_i * h_i, each kept with
     its first cofactor in candidate order, and gives the same witnesses as
     enumerating every combination; the budget still counts every
-    combination.  The reverse inclusion demands each f_i = g * c_i with
-    deg(c_i) <= bound.  Returns a verified PrincipalWitness or
-    NotPrincipalUpTo."""
+    combination.
+
+    The reverse inclusion demands each f_i = g * c_i with c_i in the box B
+    of degree <= bound.  B is an additive group and c -> g * c is additive,
+    so B is split once per call (meet in the middle, as in Horowitz & Sahni,
+    JACM 21, 1974): L is the box of the largest smaller degree d with
+    |L|^2 <= |B| ({0} when there is none), a subgroup of B, and T holds one
+    representative of each coset of L.  Then f is in g * B exactly when
+    f - g * l lies in {g * t : t in T} for some l in L, which costs
+    |L| + |T| products per g instead of up to |B|.  The first g that passes
+    is the one the full scan would accept, and only it scans B in candidate
+    order for its cofactors, so the witnesses are still the first ones.
+    Returns a verified PrincipalWitness or NotPrincipalUpTo."""
     if not generators:
         raise ValueError("need at least one ideal generator")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     ring = generators[0].ring
     for f in generators:
         ring._own(f)
@@ -117,26 +129,44 @@ def bounded_principality_check(
         rows.append(first.items())
     members: dict = {}
     for combo in itertools.product(*rows):
-        total = zero
-        for product, _ in combo:
+        total = combo[0][0]
+        for product, _ in combo[1:]:
             total = add(total, product)
         if total not in members:
             members[total] = tuple(i for _, i in combo)
+    # low is the subgroup L of the docstring, reps the coset representatives T
+    low = [zero]
+    for d in range(bound):
+        box = [h.payload for h in enumerate_up_to(d)]
+        if len(box) ** 2 > len(candidates):
+            break
+        low = box
+    reps, covered = [], set()
+    for c in candidates:
+        if c not in covered:
+            reps.append(c)
+            covered.update(add(c, l) for l in low)
+    if len(reps) * len(low) != len(candidates):
+        raise AssertionError(
+            "the cofactor box does not split into cosets; this is a bug"
+        )
     examined = 0
     for g in candidates:
         if g == zero or g not in members:
             continue
         examined += 1
-        cofactors = []
-        for f in targets:
-            match = next((c for c in candidates if mul(g, c) == f), None)
-            if match is None:
-                break
-            cofactors.append(match)
-        if len(cofactors) != len(generators):
+        # L = -L, so f - g*l over l in L is f + g*l over l in L
+        shifts = [mul(g, l) for l in low]
+        images = {mul(g, t) for t in reps}
+        if not all(any(add(f, s) in images for s in shifts) for f in targets):
             continue
         generator = RingElement(ring, g)
-        cofactors = tuple(RingElement(ring, c) for c in cofactors)
+        # a cofactor the scan misses (a bug) falls back to zero, which the
+        # re-check below rejects
+        cofactors = tuple(
+            RingElement(ring, next((c for c in candidates if mul(g, c) == f), zero))
+            for f in targets
+        )
         combination = tuple(RingElement(ring, candidates[i]) for i in members[g])
         recombined = ring.zero()
         for f, h in zip(generators, combination):

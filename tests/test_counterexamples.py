@@ -69,6 +69,42 @@ def test_principality_validates_inputs():
         bounded_principality_check([Z4X.make([0, 0, 0, 0, 1])], 3)
     with pytest.raises(UnsupportedRing):
         bounded_principality_check([ModularRing(4).make(2)], 2)
+    # a negative bound would certify an empty box
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        bounded_principality_check([Z4X.zero()], -1)
+
+
+def test_ideal_2_x_search_multiplies_few_payloads(monkeypatch):
+    # Payload products of the degree-3 search over Z/4[X]: 33,026 when every
+    # member g scanned the whole cofactor box; 4,576 with the box split into
+    # 16 cosets of the degree <= 1 box (512 for the member table, 32 per
+    # member).
+    calls = 0
+    mul = PolynomialRing._mul
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(PolynomialRing, "_mul", counted)
+    verdict = bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
+    assert verdict == NotPrincipalUpTo(3, 127)
+    assert calls <= 6_000
+
+
+def test_cofactor_split_checks_its_cosets(monkeypatch):
+    # a smaller box without zero is no subgroup: its 15 translates cannot
+    # tile the 256 cofactors, and the check must fire under python -O too
+    enumerate_up_to = PolynomialRing.elements_up_to_degree
+
+    def without_zero(self, max_degree):
+        elements = enumerate_up_to(self, max_degree)
+        return elements if max_degree == 3 else list(elements)[1:]
+
+    monkeypatch.setattr(PolynomialRing, "elements_up_to_degree", without_zero)
+    with pytest.raises(AssertionError, match="does not split into cosets"):
+        bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
 
 
 def test_principality_budget_is_enforced():
@@ -249,6 +285,8 @@ def _differential_cases():
         cases += [(label, gens, d) for d in (1, 2)]
     cases += [
         ("Z6[X] (2, 3)", [Z6X_DIFF.make(2), Z6X_DIFF.make(3)], 2),
+        # the unit ideal at degree 0, where the cofactor box is not split
+        ("Z6[X] (2, 3)", [Z6X_DIFF.make(2), Z6X_DIFF.make(3)], 0),
         ("F2[X,Y] (X, Y)", [gx2, gy2], 2),
         ("F2[X,Y] (X, X^2)", [gx2, gx2 * gx2], 2),
         ("F3[X,Y] (X, Y)", [gx3, gy3], 1),
