@@ -395,8 +395,11 @@ def test_reduce_matrix_dispatches_by_ring():
         (Z, [[0, 0]], [0]),
         (F2X, [[[0, 1]], [[0, 0, 1]]], [[0, 1]]),
         (Z4, [[2, 3]], [1]),
+        # the divisibility repair: two sweeps over Z, one over F2[x]
+        (Z, [[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+        (F2X, [[[0, 1], [0]], [[0], [1, 1]]], [[1], [0, 1, 1]]),
     ],
-    ids=["z-row", "z-zero-row", "f2x-column", "z4-row"],
+    ids=["z-row", "z-zero-row", "f2x-column", "z4-row", "z-diag-6-10-15", "f2x-diag-x-x1"],
 )
 def test_reduce_matrix_on_rows_and_columns(ring, rows, diagonal):
     a = RingMatrix.from_rows(ring, rows)
@@ -577,40 +580,64 @@ def test_reduction_document_verifies_the_pair_it_is_given():
 # witness pin: every reduction of the small-shape sweep, byte for byte
 
 _SWEEP_SHAPES = [(1, 1), (1, 2), (2, 1)]
+_WITNESS = ("P", "P_inv", "Q", "Q_inv", "D")
 
 
-def _sweep_witness_digest(n, shapes):
-    """sha256 over the five payload tuples of every reduction of the given
-    shapes over Z/n, matrices in the sweep's enumeration order."""
+def _sweep_witness_digest(n, shapes, parts):
+    """sha256 over the payload tuples named by ``parts`` of every reduction
+    of the given shapes over Z/n, matrices in the sweep's enumeration order."""
     ring = ModularRing(n)
     payloads = [e.payload for e in ring.elements()]
     digest = hashlib.sha256()
     for rows, cols in shapes:
         for combo in itertools.product(payloads, repeat=rows * cols):
             red = diagonal_reduction(RingMatrix(ring, rows, cols, combo))
-            for matrix in (red.P, red.P_inv, red.Q, red.Q_inv, red.D):
-                digest.update(repr(matrix.payloads).encode())
+            for part in parts:
+                digest.update(repr(getattr(red, part).payloads).encode())
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize(
-    "n, shapes, recorded",
+    "n, shapes, parts, recorded",
     [
-        (4, _SWEEP_SHAPES, "2b78908129c4974e4b36f8bb9413f66d6503e0c5bc3314dbb039992922c61ed6"),
-        (12, _SWEEP_SHAPES, "729a977404830758f9ad47d7f6202ba4e2f5a072c2daffd1dbc26a972e6627d8"),
-        (30, _SWEEP_SHAPES, "3428ae0cd0014f9bd89daf68b6179ade6babdde77f1a51c32cb1c70fc8b2cd3c"),
+        (
+            4,
+            _SWEEP_SHAPES,
+            _WITNESS,
+            "2b78908129c4974e4b36f8bb9413f66d6503e0c5bc3314dbb039992922c61ed6",
+        ),
+        (
+            12,
+            _SWEEP_SHAPES,
+            _WITNESS,
+            "729a977404830758f9ad47d7f6202ba4e2f5a072c2daffd1dbc26a972e6627d8",
+        ),
+        (
+            30,
+            _SWEEP_SHAPES,
+            _WITNESS,
+            "3428ae0cd0014f9bd89daf68b6179ade6babdde77f1a51c32cb1c70fc8b2cd3c",
+        ),
         (
             6,
             _SWEEP_SHAPES + [(2, 2)],
+            _WITNESS,
             "a036fbabd8b07638704868ddb57b0cd3d37eca843fb7d5643403abfc401eb907",
         ),
+        (
+            6,
+            _SWEEP_SHAPES + [(2, 2)],
+            ("D",),
+            "8bae35cae5fb0107446123b42a770a9c02609fa2b8a22ca37267da0514f8733b",
+        ),
     ],
-    ids=["z4", "z12", "z30", "z6-with-2x2"],
+    ids=["z4", "z12", "z30", "z6-with-2x2", "z6-with-2x2-diagonal"],
 )
-def test_sweep_witnesses_match_the_recorded_digests(n, shapes, recorded):
+def test_sweep_witnesses_match_the_recorded_digests(n, shapes, parts, recorded):
     # a change of the reduction code that keeps the elimination keeps every
-    # witness: P, P_inv, Q, Q_inv and D of each matrix stay the same
-    assert _sweep_witness_digest(n, shapes) == recorded
+    # witness: P, P_inv, Q, Q_inv and D of each matrix stay the same; one
+    # that changes only the elimination path keeps the diagonal-only digest
+    assert _sweep_witness_digest(n, shapes, parts) == recorded
 
 
 # ---------------------------------------------------------------------------
