@@ -23,8 +23,10 @@ which is swapped to the pivot.  Reducing the whole line against its smallest
 entry keeps the transforms near the size of D (about 1,000 bits for 16x16
 integer inputs with entries up to 1000), where one Bezout step per entry
 against the pivot row multiplies that row by the cofactors each time and
-takes the same inputs past 16,000 bits.  Adjacent diagonal entries that break
-the divisibility chain afterwards are merged by one Bezout step each.
+takes the same inputs past 16,000 bits.  The same rounds repair the
+divisibility chain afterwards: where d_i does not divide d_{i+1}, column i+1
+is added to column i and position i cleared again, which leaves
+gcd(d_i, d_{i+1}) at (i, i).  Division with remainder is the one primitive.
 
 A ``RingMatrix`` stores the canonical payloads of its entries, which its
 constructor trusts as ``RingElement(ring, payload)`` does; literals and
@@ -334,26 +336,6 @@ class _ReductionState:
         for row in self.Pi:
             row[i] = mul(row[i], u_inv)
 
-    def row_bezout(self, i: int, j: int, col: int) -> None:
-        """Combine rows i and j so entry (i, col) becomes gcd of the two
-        column entries; the 2x2 block transform has determinant one."""
-        ops = self.ops
-        add, mul, neg = self.add, self.mul, self.neg
-        a, b = self.M[i][col], self.M[j][col]
-        d, s, t = ops.egcd(a, b)
-        if d == self.zero:
-            return
-        ab, bb = ops.exact_div(a, d), ops.exact_div(b, d)
-        for target in (self.M, self.P):
-            ri, rj = target[i], target[j]
-            new_i = [add(mul(s, x), mul(t, y)) for x, y in zip(ri, rj)]
-            new_j = [add(mul(ab, y), neg(mul(bb, x))) for x, y in zip(ri, rj)]
-            target[i], target[j] = new_i, new_j
-        for row in self.Pi:
-            x, y = row[i], row[j]
-            row[i] = add(mul(ab, x), mul(bb, y))
-            row[j] = add(mul(neg(t), x), mul(s, y))
-
     # column operations: M <- M @ C, Q <- Q @ C, Qi <- C^-1 @ Qi
 
     def col_swap(self, i: int, j: int) -> None:
@@ -448,7 +430,10 @@ def _clear_position(state: _ReductionState, k: int) -> None:
 
 
 def _enforce_divisibility(state: _ReductionState) -> None:
-    """Repair the chain d_i | d_{i+1} by merging adjacent diagonal entries."""
+    """Repair the chain d_i | d_{i+1} between adjacent diagonal entries: fold
+    column i+1 into column i and clear position i again by Euclidean rounds,
+    which leaves gcd(d_i, d_{i+1}) at (i, i).  Both entries are nonzero and
+    the moves are unimodular, so neither new entry is zero."""
     ops, zero = state.ops, state.zero
     r = min(state.m, state.n)
     for _ in range(r * r + 1):
@@ -457,26 +442,12 @@ def _enforce_divisibility(state: _ReductionState) -> None:
             a, b = state.M[i][i], state.M[i + 1][i + 1]
             if b == zero or ops.quotient(b, a) is not None:
                 continue
-            # fold column i+1 into column i, re-extract the gcd, clean up
             state.col_addmul(i, i + 1, state.one)
-            state.row_bezout(i, i + 1, i)
-            extra = state.M[i][i + 1]
-            if extra != zero:
-                q = ops.exact_div(extra, state.M[i][i])
-                state.col_addmul(i + 1, i, state.neg(q))
+            _clear_position(state, i)
             changed = True
         if not changed:
             return
     raise AssertionError("divisibility chain failed to stabilize")
-
-
-def _sort_zeros_to_end(state: _ReductionState) -> None:
-    r = min(state.m, state.n)
-    nonzero = [i for i in range(r) if state.M[i][i] != state.zero]
-    for target, source in enumerate(nonzero):
-        if target != source:
-            state.row_swap(target, source)
-            state.col_swap(target, source)
 
 
 def _canonicalize_diagonal(state: _ReductionState) -> None:
@@ -502,9 +473,7 @@ def _smith_core(ring: Ring, a: Sequence[Any], m: int, n: int) -> _ReductionState
         state.row_swap(k, pivot[0])
         state.col_swap(k, pivot[1])
         _clear_position(state, k)
-    _sort_zeros_to_end(state)
     _enforce_divisibility(state)
-    _sort_zeros_to_end(state)
     _canonicalize_diagonal(state)
     return state
 

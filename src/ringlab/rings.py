@@ -25,11 +25,12 @@ summed, and the sum is unpacked once, each coefficient reduced mod n and the
 result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
 ``EuclideanOps`` is the one Euclidean interface, for the integers and
-polynomials over a prime field.  It binds three ring-specific payload
+polynomials over a prime field.  It binds four ring-specific payload
 functions once: ``size`` (``abs`` or ``len``), ``divmod`` (the builtin, or
-long division over GF(p), ``PolynomialRing._divmod``) and
-``canonical_unit`` (the unit making an element nonnegative or monic, with
-its inverse).  One extended-gcd loop, ``egcd``, serves both rings.
+long division over GF(p), ``PolynomialRing._divmod``), ``nearest_divmod``
+(the same with the smallest remainder) and ``canonical_unit`` (the unit
+making an element nonnegative or monic, with its inverse).  One
+extended-gcd loop, ``egcd``, serves ``bezout_gcd`` over both rings.
 
 Finite rings expose a fixed enumeration order; every exhaustive search in
 the package walks that order, which is what makes witnesses deterministic.
@@ -1088,7 +1089,8 @@ class EuclideanOps:
     * ``canonical_unit(x)``, the unit u with its inverse, where u*x is the
       canonical associate (nonnegative, or monic).
 
-    ``egcd``, ``quotient`` and ``exact_div`` are written once over these."""
+    ``quotient`` and ``egcd`` are written once over these; ``egcd`` serves
+    ``bezout_gcd``."""
 
     def __init__(self, ring: Ring) -> None:
         if isinstance(ring, IntegerRing):
@@ -1121,13 +1123,6 @@ class EuclideanOps:
             return zero if x == zero else None
         q, r = self.divmod(x, y)
         return q if r == zero else None
-
-    def exact_div(self, x, y):
-        """x / y; a remainder is an internal error, raised as AssertionError."""
-        q = self.quotient(x, y)
-        if q is None:
-            raise AssertionError("division is not exact")
-        return q
 
     def egcd(self, x, y):
         """(d, s, t) with s*x + t*y = d, d canonical (nonnegative or monic);

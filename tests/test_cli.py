@@ -215,14 +215,16 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(4)", "--bound", "1"
     assert lines[-1] == "exit 4"
 
 
-def test_inexact_internal_division_is_an_internal_error(capsys, monkeypatch):
-    # a gcd that divides neither entry makes the elimination divide inexactly
-    monkeypatch.setattr("ringlab.rings.EuclideanOps.egcd", lambda self, a, b: (7, 0, 0))
+def test_no_progress_in_the_elimination_is_an_internal_error(capsys, monkeypatch):
+    # a division that returns a zero quotient never lowers the smallest entry;
+    # diag(2, 3) reaches the Euclidean rounds only through the divisibility
+    # repair.  EuclideanOps binds the function per instance, so patch the module.
+    monkeypatch.setattr("ringlab.rings._nearest_divmod", lambda x, y: (0, x))
     doc = {"ring": "integers", "rows": 2, "cols": 2, "entries": [2, 0, 0, 3]}
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(json.dumps(doc)))
     code, out = run(capsys, "snf")
     assert code == 4
-    assert out.startswith("internal error:")
+    assert out.splitlines()[0] == "internal error: no progress while clearing a pivot"
 
 
 def test_bezout_verified_identity(capsys):

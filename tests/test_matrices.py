@@ -622,7 +622,7 @@ def _sweep_witness_digest(n, shapes, parts):
             6,
             _SWEEP_SHAPES + [(2, 2)],
             _WITNESS,
-            "a036fbabd8b07638704868ddb57b0cd3d37eca843fb7d5643403abfc401eb907",
+            "0234cb1edddd32b4c557a6357ee37ce379dac772ef4443c0277d8e8e069823b1",
         ),
         (
             6,
