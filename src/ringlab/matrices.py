@@ -433,7 +433,8 @@ def _enforce_divisibility(state: _ReductionState) -> None:
     """Repair the chain d_i | d_{i+1} between adjacent diagonal entries: fold
     column i+1 into column i and clear position i again by Euclidean rounds,
     which leaves gcd(d_i, d_{i+1}) at (i, i).  Both entries are nonzero and
-    the moves are unimodular, so neither new entry is zero."""
+    the moves are unimodular over a domain, so neither new entry is zero and
+    the zeros that the pivot loop left at the end stay there."""
     ops, zero = state.ops, state.zero
     r = min(state.m, state.n)
     for _ in range(r * r + 1):
