@@ -27,6 +27,7 @@ from .rings import (
     Ring,
     RingElement,
     TrivialExtensionRing,
+    _coset_representatives,
 )
 
 
@@ -61,12 +62,20 @@ class NotPrincipalUpTo:
 
 
 def _degree_tools(ring: Ring):
+    """The degree function of ``ring``, the enumerator of its box of elements
+    of degree <= d, and the size of that box, computed without enumerating."""
     if isinstance(ring, PolynomialRing):
         if not ring.base.is_finite():
             raise UnsupportedRing("principality search needs finite coefficients")
-        return ring.degree, ring.elements_up_to_degree
+        q = ring.base.cardinality()
+        return ring.degree, ring.elements_up_to_degree, lambda d: q ** (d + 1)
     if isinstance(ring, BivariatePolynomialRing):
-        return ring.total_degree, ring.elements_up_to_total_degree
+        q = ring.base.cardinality()
+        return (
+            ring.total_degree,
+            ring.elements_up_to_total_degree,
+            lambda d: q ** ((d + 1) * (d + 2) // 2),
+        )
     raise UnsupportedRing(
         f"principality search works over polynomial rings, got {ring.descriptor()}"
     )
@@ -79,11 +88,15 @@ def bounded_principality_check(
     all degrees capped at ``bound``.
 
     Membership of a candidate g in the ideal is decided against the set of
-    combinations sum(f_i * h_i) with cofactor degrees <= bound.  The search
-    runs over each generator's distinct products f_i * h_i, each kept with
-    its first cofactor in candidate order, and gives the same witnesses as
-    enumerating every combination; the budget still counts every
-    combination.
+    combinations sum(f_i * h_i) with cofactor degrees <= bound, each member
+    kept with its lexicographically first cofactor combination.  The row
+    H_i of f_i's distinct products is an additive subgroup, so the table is
+    closed over one row at a time: each new coset s + H_i of a partial sum s
+    is added once, and a partial sum already reached is skipped with its
+    whole coset.  This costs one sum per member of each partial table
+    instead of one per combination, and gives the same witnesses as
+    enumerating every combination.  The budget still counts every
+    combination, from the box size alone, before anything is enumerated.
 
     The reverse inclusion demands each f_i = g * c_i with c_i in the box B
     of degree <= bound.  B is an additive group and c -> g * c is additive,
@@ -103,49 +116,54 @@ def bounded_principality_check(
     ring = generators[0].ring
     for f in generators:
         ring._own(f)
-    degree_of, enumerate_up_to = _degree_tools(ring)
+    degree_of, enumerate_up_to, box_size = _degree_tools(ring)
     for f in generators:
         if not f.is_zero() and degree_of(f) > bound:
             raise ValueError(
                 f"generator {f.literal()} exceeds the degree bound {bound}"
             )
-    candidates = [h.payload for h in enumerate_up_to(bound)]
-    combo_count = len(candidates) ** len(generators)
+    size = box_size(bound)
+    combo_count = size ** len(generators)
     cap = search_budget(budget)
     if combo_count > cap:
         raise BudgetExceeded(
             f"{combo_count} cofactor combinations exceed the search budget {cap}"
         )
+    candidates = [h.payload for h in enumerate_up_to(bound)]
     add, mul, zero = ring._add, ring._mul, ring._zero()
     targets = [f.payload for f in generators]
     # Row i maps each distinct product f_i * h to the index of its first h.
     # A lexicographically first combination for a sum uses first indices
-    # only, so enumerating these rows in product order finds it.
+    # only, and its prefixes are first combinations too.
     rows = []
     for f in targets:
         first: dict = {}
         for i, h in enumerate(candidates):
             first.setdefault(mul(f, h), i)
         rows.append(first.items())
-    members: dict = {}
-    for combo in itertools.product(*rows):
-        total = combo[0][0]
-        for product, _ in combo[1:]:
-            total = add(total, product)
-        if total not in members:
-            members[total] = tuple(i for _, i in combo)
+    # Close the table over one row H at a time, walking the partial sums s
+    # in the order of their first combinations.  H is a subgroup, so an s
+    # already reached lies in a coset s + H that is wholly covered, and the
+    # coset of any other s is disjoint from the sums reached so far.
+    members = {product: (i,) for product, i in rows[0]}
+    for row in rows[1:]:
+        grown: dict = {}
+        for s, combo in members.items():
+            if s in grown:
+                continue
+            for product, i in row:
+                total = add(s, product)
+                if total in grown:
+                    raise AssertionError(
+                        "a row of the member table is not closed under"
+                        " addition; this is a bug"
+                    )
+                grown[total] = combo + (i,)
+        members = grown
     # low is the subgroup L of the docstring, reps the coset representatives T
-    low = [zero]
-    for d in range(bound):
-        box = [h.payload for h in enumerate_up_to(d)]
-        if len(box) ** 2 > len(candidates):
-            break
-        low = box
-    reps, covered = [], set()
-    for c in candidates:
-        if c not in covered:
-            reps.append(c)
-            covered.update(add(c, l) for l in low)
+    fits = [d for d in range(bound) if box_size(d) ** 2 <= size]
+    low = [h.payload for h in enumerate_up_to(fits[-1])] if fits else [zero]
+    _, reps = _coset_representatives(candidates, low, add)
     if len(reps) * len(low) != len(candidates):
         raise AssertionError(
             "the cofactor box does not split into cosets; this is a bug"
@@ -216,7 +234,14 @@ def trivial_extension_hermite_search(
 ) -> HermiteSearchReport:
     """Exhaust all 2x2 column transforms over T(Z,Z) with entries of height
     at most ``height``: Q must be invertible (unit determinant) and kill the
-    second coordinate of the row.  Reports the first find or the exhaustion."""
+    second coordinate of the row.  Reports the first find or the exhaustion.
+
+    det(Q) = a*y - b*x is a unit of T(Z,Z) exactly when its base coordinate
+    a0*y0 - b0*x0 is a unit of Z, so a second column (x, y) for which no
+    (a0, b0) of the box gives +-1 is decided without scanning the first
+    columns, like a column that does not kill the row.  ``checked`` counts
+    the pairs decided either way, so it is the count of the full scan.  The
+    budget counts the (2*height+1)^8 pairs before any column is built."""
     if vector is None:
         vector = default_hermite_vector()
     ring = vector.ring
@@ -228,22 +253,27 @@ def trivial_extension_hermite_search(
         raise ValueError("the search expects a 1x2 row")
     if height < 1:
         raise ValueError("height must be positive")
-    span = range(-height, height + 1)
-    entries = [(a, b) for a in span for b in span]
-    columns = list(itertools.product(entries, repeat=2))
-    total = len(columns) ** 2
+    total = (2 * height + 1) ** 8
     cap = search_budget()
     if total > cap:
         raise BudgetExceeded(
             f"{total} column pairs exceed the search budget {cap}"
         )
+    span = range(-height, height + 1)
+    entries = [(a, b) for a in span for b in span]
+    columns = list(itertools.product(entries, repeat=2))
     v1, v2 = vector.payloads
     mul, add, neg = ring._mul, ring._add, ring._neg
     zero = ring._zero()
     checked = 0
     for col2 in columns:
         x, y = col2
-        if add(mul(v1, x), mul(v2, y)) != zero:
+        # a column that does not kill the row, or whose base coordinates
+        # x0, y0 give no unit a0*y0 - b0*x0 over the box, decides all its
+        # pairs at once
+        if add(mul(v1, x), mul(v2, y)) != zero or not any(
+            a0 * y[0] - b0 * x[0] in (1, -1) for a0 in span for b0 in span
+        ):
             checked += len(columns)
             continue
         for col1 in columns:

@@ -533,28 +533,16 @@ class LocalizedView:
         return f"localization at {where}: factor {self.factor.descriptor()}"
 
 
-def localize_at_maximal(
-    module: ProjectiveModule, ideal: Union[int, frozenset]
-) -> LocalizedView:
-    """Restrict to the corner complementary to a maximal ideal.
-
-    The result is free over the local factor with rank equal to the matching
-    multiplicity.  Every element outside the ideal is verified to become a
-    unit of the factor."""
-    ring = module.ring
-    ideals = maximal_ideals(ring)
-    if isinstance(ideal, int):
-        index = ideal
-        if not 0 <= index < len(ideals):
-            raise ValueError(f"no maximal ideal with index {index}")
-    else:
-        try:
-            index = ideals.index(frozenset(ideal))
-        except ValueError:
-            raise ValueError("the given set is not one of the maximal ideals") from None
-    e = module.basis.elements[index]
-    factor = CornerRing(ring, e)
-    ideal_set = ideals[index]
+def _maximal_localizer(
+    basis: IdempotentBasis, index: int
+) -> Callable[[ProjectiveModule], LocalizedView]:
+    """Localization at maximal ideal ``index`` for modules over ``basis``:
+    the corner of the index-th primitive idempotent is built once, every
+    element outside the ideal is verified to become a unit of it, and each
+    module's view only reads off its multiplicity there."""
+    ring = basis.ring
+    factor = CornerRing(ring, basis.elements[index])
+    ideal_set = maximal_ideals(ring)[index]
     for s in ring.elements():
         if s in ideal_set:
             continue
@@ -565,20 +553,39 @@ def localize_at_maximal(
     factor_basis = primitive_idempotent_decomposition(factor)
     if len(factor_basis) != 1:
         raise AssertionError("corner of a primitive idempotent is not local")
-    rank = module.multiplicities[index]
-    result = ProjectiveModule(factor, factor_basis, (rank,))
-    return LocalizedView(module, "maximal", index, factor, result, rank)
+
+    def view(module: ProjectiveModule) -> LocalizedView:
+        rank = module.multiplicities[index]
+        result = ProjectiveModule(factor, factor_basis, (rank,))
+        return LocalizedView(module, "maximal", index, factor, result, rank)
+
+    return view
 
 
-def localize_at_element(
-    module: Union[ProjectiveModule, FiniteModule], f: RingElement
+def localize_at_maximal(
+    module: ProjectiveModule, ideal: Union[int, frozenset]
 ) -> LocalizedView:
-    """Invert the powers of f.
+    """Restrict to the corner complementary to a maximal ideal.
 
-    In a finite commutative ring some power e of f is idempotent, and
-    inverting f amounts to cutting down to the corner eR (f acts invertibly
-    there).  A nilpotent f gives the zero localization."""
-    ring = module.ring
+    The result is free over the local factor with rank equal to the matching
+    multiplicity.  Every element outside the ideal is verified to become a
+    unit of the factor."""
+    ideals = maximal_ideals(module.ring)
+    if isinstance(ideal, int):
+        index = ideal
+        if not 0 <= index < len(ideals):
+            raise ValueError(f"no maximal ideal with index {index}")
+    else:
+        try:
+            index = ideals.index(frozenset(ideal))
+        except ValueError:
+            raise ValueError("the given set is not one of the maximal ideals") from None
+    return _maximal_localizer(module.basis, index)(module)
+
+
+def _element_corner(ring: Ring, f: RingElement) -> tuple[RingElement, CornerRing]:
+    """The idempotent power e of f and the corner eR realizing the
+    localization at f, with every power of f verified to invert there."""
     ring._own(f)
     e = idempotent_power(f)
     factor = CornerRing(ring, e)
@@ -592,38 +599,64 @@ def localize_at_element(
                 f"power {power!r} of {f!r} does not invert in the factor"
             )
         power = power * f
+    return e, factor
+
+
+def _element_localizer(
+    basis: IdempotentBasis, f: RingElement
+) -> Callable[[ProjectiveModule], LocalizedView]:
+    """Localization at the powers of f for modules over ``basis``: the
+    corner is built and checked once, and each primitive idempotent of the
+    corner is matched once to the ambient idempotent whose multiplicity it
+    carries."""
+    e, factor = _element_corner(basis.ring, f)
+    factor_basis = primitive_idempotent_decomposition(factor)
+    slots = []
+    for c in factor_basis.elements:
+        matches = [
+            i
+            for i, ei in enumerate(basis.elements)
+            if (e * ei).payload == c.payload
+        ]
+        if len(matches) != 1:
+            raise AssertionError(
+                "corner idempotent does not match exactly one ambient idempotent"
+            )
+        slots.append(matches[0])
+
+    def view(module: ProjectiveModule) -> LocalizedView:
+        mults = tuple(module.multiplicities[i] for i in slots)
+        result = ProjectiveModule(factor, factor_basis, mults)
+        return LocalizedView(module, "element", f, factor, result, None)
+
+    return view
+
+
+def localize_at_element(
+    module: Union[ProjectiveModule, FiniteModule], f: RingElement
+) -> LocalizedView:
+    """Invert the powers of f.
+
+    In a finite commutative ring some power e of f is idempotent, and
+    inverting f amounts to cutting down to the corner eR (f acts invertibly
+    there).  A nilpotent f gives the zero localization."""
     if isinstance(module, ProjectiveModule):
-        factor_basis = primitive_idempotent_decomposition(factor)
-        mults = []
-        for c in factor_basis.elements:
-            matches = [
-                i
-                for i, ei in enumerate(module.basis.elements)
-                if (e * ei).payload == c.payload
-            ]
-            if len(matches) != 1:
-                raise AssertionError(
-                    "corner idempotent does not match exactly one ambient idempotent"
-                )
-            mults.append(module.multiplicities[matches[0]])
-        result: Union[ProjectiveModule, FiniteModule] = ProjectiveModule(
-            factor, factor_basis, tuple(mults)
-        )
-    else:
-        ep = e.payload
-        points = list(dict.fromkeys(module.scale(ep, x) for x in module.points))
-        fp = f.payload
-        images = {module.scale(fp, x) for x in points}
-        if images != set(points):
-            raise AssertionError("f does not act bijectively on the localization")
-        result = FiniteModule(
-            factor,
-            points,
-            module.zero,
-            module.add,
-            module.scale,
-            f"({module.label})_({f.literal()})",
-        )
+        return _element_localizer(module.basis, f)(module)
+    e, factor = _element_corner(module.ring, f)
+    ep = e.payload
+    points = list(dict.fromkeys(module.scale(ep, x) for x in module.points))
+    fp = f.payload
+    images = {module.scale(fp, x) for x in points}
+    if images != set(points):
+        raise AssertionError("f does not act bijectively on the localization")
+    result = FiniteModule(
+        factor,
+        points,
+        module.zero,
+        module.add,
+        module.scale,
+        f"({module.label})_({f.literal()})",
+    )
     return LocalizedView(module, "element", f, factor, result, None)
 
 
@@ -758,17 +791,22 @@ def refinement_verify(ring: Ring, splittings: int, bound: int) -> VerifierReport
 def _compare_global_and_local(
     ring: Ring,
     bound: int,
-    localize: Callable[[ProjectiveModule], list[LocalizedView]],
+    localizers: Callable[
+        [IdempotentBasis], list[Callable[[ProjectiveModule], LocalizedView]]
+    ],
 ) -> tuple[int, int, Optional[str]]:
     """For every pair of projectives with multiplicities up to the bound,
     compare global isomorphism with isomorphism of all the localizations.
+    ``localizers`` gives one view function per localization target, built
+    once for the ring's idempotent basis and applied to every module.
     Returns (module count, pairs checked, first disagreement or None)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     basis = primitive_idempotent_decomposition(ring)
+    localize = localizers(basis)
     vectors = list(itertools.product(range(bound + 1), repeat=len(basis)))
     modules = {t: ProjectiveModule(ring, basis, t) for t in vectors}
-    views = {t: localize(modules[t]) for t in vectors}
+    views = {t: [view(modules[t]) for view in localize] for t in vectors}
     checked = 0
     for s in vectors:
         for t in vectors:
@@ -789,11 +827,13 @@ def _compare_global_and_local(
 def local_global_verify(ring: Ring, bound: int) -> VerifierReport:
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
-    M iso N must agree with rank equality at every maximal ideal."""
+    M iso N must agree with rank equality at every maximal ideal.  The
+    corner of each maximal ideal is built and checked once, as
+    :func:`localize_at_maximal` would, and shared by every module's view."""
     count, checked, counterexample = _compare_global_and_local(
         ring,
         bound,
-        lambda m: [localize_at_maximal(m, i) for i in range(len(m.basis))],
+        lambda basis: [_maximal_localizer(basis, i) for i in range(len(basis))],
     )
     holds = counterexample is None
     summary = f"{count} modules, {len(maximal_ideals(ring))} maximal ideals"
@@ -811,7 +851,9 @@ def partition_of_unity_verify(
     ring: Ring, generators: Iterable[RingElement], bound: int
 ) -> VerifierReport:
     """Like the local-global check, but localizing at finitely many elements
-    that generate the unit ideal (verified by exhaustive combination search)."""
+    that generate the unit ideal (verified by exhaustive combination search).
+    The corner of each generator is built and checked once, as
+    :func:`localize_at_element` would, and shared by every module's view."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -832,7 +874,7 @@ def partition_of_unity_verify(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
         )
     _, checked, counterexample = _compare_global_and_local(
-        ring, bound, lambda m: [localize_at_element(m, g) for g in gens]
+        ring, bound, lambda basis: [_element_localizer(basis, g) for g in gens]
     )
     holds = counterexample is None
     combination = " + ".join(

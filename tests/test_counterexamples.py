@@ -1,12 +1,14 @@
 """Bounded refutation searches: non-principal ideals and a non-Hermite row."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from ringlab import (
     BivariatePolynomialRing,
     BudgetExceeded,
+    HermiteSearchReport,
     IntegerRing,
     ModularRing,
     NotPrincipalUpTo,
@@ -74,23 +76,60 @@ def test_principality_validates_inputs():
         bounded_principality_check([Z4X.zero()], -1)
 
 
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_ideal_2_x_search_multiplies_few_payloads(monkeypatch):
     # Payload products of the degree-3 search over Z/4[X]: 33,026 when every
     # member g scanned the whole cofactor box; 4,576 with the box split into
     # 16 cosets of the degree <= 1 box (512 for the member table, 32 per
     # member).
-    calls = 0
-    mul = PolynomialRing._mul
-
-    def counted(self, x, y):
-        nonlocal calls
-        calls += 1
-        return mul(self, x, y)
-
-    monkeypatch.setattr(PolynomialRing, "_mul", counted)
+    calls = _count_calls(monkeypatch, PolynomialRing, "_mul")
     verdict = bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
     assert verdict == NotPrincipalUpTo(3, 127)
-    assert calls <= 6_000
+    assert calls[0] <= 6_000
+
+
+def test_member_tables_add_few_payloads(monkeypatch):
+    # Payload sums of the degree-3 search over Z/4[X] and the degree-2
+    # search over F_2[X, Y]: 6,386 and 4,413 when the member table summed
+    # every combination (4,096 each); closed over cosets it sums once per
+    # member of the second partial table (512 each), giving 2,802 and 829.
+    poly_adds = _count_calls(monkeypatch, PolynomialRing, "_add")
+    verdict = bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
+    assert verdict == NotPrincipalUpTo(3, 127)
+    assert poly_adds[0] <= 3_000
+    bivariate_adds = _count_calls(monkeypatch, BivariatePolynomialRing, "_add")
+    verdict = bounded_principality_check(list(F2XY.gens()), 2)
+    assert verdict == NotPrincipalUpTo(2, 31)
+    assert bivariate_adds[0] <= 1_000
+
+
+def test_member_table_checks_its_cosets(monkeypatch):
+    # without the cofactor 2X the row X*B misses 2X^2, so it is no subgroup:
+    # the partial sum 2X^2 of the row 2*B then opens a coset that overlaps
+    # the sums already reached, and the check must fire under python -O too
+    enumerate_up_to = PolynomialRing.elements_up_to_degree
+
+    def without_2x(self, max_degree):
+        return (
+            h
+            for h in enumerate_up_to(self, max_degree)
+            if max_degree != 3 or h.payload != (0, 2)
+        )
+
+    monkeypatch.setattr(PolynomialRing, "elements_up_to_degree", without_2x)
+    with pytest.raises(AssertionError, match="member table is not closed"):
+        bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
 
 
 def test_cofactor_split_checks_its_cosets(monkeypatch):
@@ -110,6 +149,34 @@ def test_cofactor_split_checks_its_cosets(monkeypatch):
 def test_principality_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         bounded_principality_check([Z4X.make(2), Z4X.gen()], 4)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_over_budget_principality_search_enumerates_nothing():
+    # 4^8 cofactors of degree <= 7 per generator; listing them alone would
+    # build 65,536 polynomials
+    def search():
+        with pytest.raises(BudgetExceeded) as info:
+            bounded_principality_check([Z4X.make(2), Z4X.gen()], 7)
+        assert str(info.value) == (
+            "4294967296 cofactor combinations exceed the search budget 1000000"
+        )
+
+    assert _peak_bytes(search) < 1 << 20
+
+
+def test_generator_degree_is_checked_before_the_budget():
+    with pytest.raises(ValueError, match="exceeds the degree bound 7"):
+        bounded_principality_check([Z4X.make([0] * 8 + [1]), Z4X.gen()], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +265,85 @@ def test_hermite_search_validation():
 def test_hermite_search_budget():
     with pytest.raises(BudgetExceeded):
         trivial_extension_hermite_search(height=5)
+
+
+def test_over_budget_hermite_search_builds_no_columns():
+    # 25^4 = 390,625 columns at height 12; listing them would build them all
+    def search():
+        with pytest.raises(BudgetExceeded) as info:
+            trivial_extension_hermite_search(height=12)
+        assert str(info.value) == (
+            "152587890625 column pairs exceed the search budget 1000000"
+        )
+
+    assert _peak_bytes(search) < 1 << 20
+
+
+def _reference_hermite_search(vector, height):
+    """The scan before the determinant pruning: every first column of every
+    killing second column is tested with ``try_inverse``."""
+    ring = vector.ring
+    span = range(-height, height + 1)
+    entries = [(a, b) for a in span for b in span]
+    columns = list(itertools.product(entries, repeat=2))
+    v1, v2 = vector.entries
+    checked = 0
+    for x, y in columns:
+        x, y = ring.make(x), ring.make(y)
+        if v1 * x + v2 * y != ring.zero():
+            checked += len(columns)
+            continue
+        for a, b in columns:
+            checked += 1
+            a, b = ring.make(a), ring.make(b)
+            if ring.try_inverse(a * y - b * x) is None:
+                continue
+            q = RingMatrix(ring, 2, 2, (a.payload, x.payload, b.payload, y.payload))
+            d = v1 * a + v2 * b
+            return HermiteSearchReport(vector, height, True, q, d, checked)
+    return HermiteSearchReport(vector, height, False, None, None, checked)
+
+
+HERMITE_ROWS = {
+    "(2, e)": [(2, 0), (0, 1)],
+    "(1, e)": [(1, 0), (0, 1)],
+    "(3+e, 1+e)": [(3, 1), (1, 1)],
+    "(e, 2)": [(0, 1), (2, 0)],
+    "(1, 2)": [(1, 0), (2, 0)],
+    "(1, 0)": [(1, 0), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("row", list(HERMITE_ROWS.values()), ids=list(HERMITE_ROWS))
+def test_hermite_search_matches_the_unpruned_scan(row, height):
+    ring = TrivialExtensionRing(IntegerRing())
+    vector = RingMatrix.from_rows(ring, [row])
+    report = trivial_extension_hermite_search(vector, height)
+    assert report == _reference_hermite_search(vector, height)
+
+
+def test_unpruned_comparison_includes_finds_after_pruned_columns(monkeypatch):
+    # over (1, e) the killing columns have x0 = 0 and y0 = -x1; the five
+    # with y0 = 2 come first and are pruned, and the next one is scanned to
+    # the find after 126 inversions, so the comparison above pins Q, d and
+    # the count at a find that follows pruned columns
+    calls = _count_calls(monkeypatch, TrivialExtensionRing, "try_inverse")
+    ring = TrivialExtensionRing(IntegerRing())
+    vector = RingMatrix.from_rows(ring, [HERMITE_ROWS["(1, e)"]])
+    report = trivial_extension_hermite_search(vector, 2)
+    assert report.found
+    assert calls[0] == 126
+
+
+def test_default_hermite_search_inverts_nothing(monkeypatch):
+    # every killing column of (2, e) has x0 = 0 and y0 even, so no base
+    # determinant a0*y0 - b0*x0 is a unit: 9,375 try_inverse calls before
+    # the pruning, none after
+    calls = _count_calls(monkeypatch, TrivialExtensionRing, "try_inverse")
+    report = trivial_extension_hermite_search(height=2)
+    assert (report.found, report.checked) == (False, 625 * 625)
+    assert calls[0] == 0
 
 
 def test_searches_are_deterministic():
@@ -296,6 +442,11 @@ def _differential_cases():
         ("Z4[X] (X^2+2)", [X * X + two], 3),
         # principal, generated by X+Y
         ("F2[X,Y] (X+Y, X^2+XY)", [gx2 + gy2, gx2 * gx2 + gx2 * gy2], 2),
+        # three rows, so the table is closed past two: the unit ideal, with
+        # a nonzero cofactor on every generator, and two non-principal ideals
+        ("Z6[X] (2, 3, X)", [Z6X_DIFF.make(2), Z6X_DIFF.make(3), Z6X_DIFF.gen()], 1),
+        ("Z4[X] (2, X, 2X+2)", [two, X, two * X + two], 1),
+        ("F3[X,Y] (X, Y, X+Y)", [gx3, gy3, gx3 + gy3], 1),
     ]
     return cases
 
@@ -322,6 +473,12 @@ def test_differential_cases_include_nontrivial_witnesses():
     assert verdict.generator == Z6X_DIFF.one()
     assert [c.literal() for c in verdict.cofactors] == [[2], [3]]
     assert [h.literal() for h in verdict.combination] == [[2], [1]]
+    # with X as a third generator the cofactors are (2, 3, X), all nonzero
+    three = [Z6X_DIFF.make(2), Z6X_DIFF.make(3), Z6X_DIFF.gen()]
+    verdict = bounded_principality_check(three, 1)
+    assert verdict.generator == Z6X_DIFF.one()
+    assert [c.literal() for c in verdict.cofactors] == [[2], [3], [0, 1]]
+    assert [h.literal() for h in verdict.combination] == [[2], [1], []]
 
 
 # ---------------------------------------------------------------------------
