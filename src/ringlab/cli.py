@@ -43,12 +43,10 @@ from .monoids import (
     refine,
 )
 from .modules import (
-    ProjectiveModule,
     localize_at_element,
     localize_at_maximal,
     module_iso,
     projective_module,
-    projective_monoid,
     verify_suite,
 )
 from .rings import (
@@ -58,6 +56,7 @@ from .rings import (
     PrimeField,
     Ring,
     parse_ring,
+    primitive_idempotent_decomposition,
 )
 
 PASS, VIOLATION, EXHAUSTED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
@@ -212,11 +211,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     print(f"ring={ring.descriptor()}")
     print(f"module={module.describe()}")
     print(view.describe())
-    result = view.result
-    if isinstance(result, ProjectiveModule):
-        print(f"result={result.describe()} over {result.ring.descriptor()}")
-    else:
-        print(f"result={result.describe()}")
+    print(f"result={view.result.describe()} over {view.factor.descriptor()}")
     if view.free_rank is not None:
         print(f"free_rank={view.free_rank}")
     print("multiplicative_set_inverts=True")
@@ -236,7 +231,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _default_partition_generators(ring: Ring) -> list:
-    basis = projective_monoid(ring)[1]
+    basis = primitive_idempotent_decomposition(ring)
     e = basis.elements[0]
     if len(basis) == 1:
         return [ring.one()]

@@ -2,10 +2,15 @@
 
 Two representations coexist.  A ``ProjectiveModule`` is a multiplicity vector
 over the ring's primitive idempotents (the module is the direct sum of that
-many copies of each corner ``e_i R``), which makes isomorphism testing exact
-and localization a coordinate projection.  A ``FiniteModule`` carries its
-points explicitly, so kernels, images, cokernels, and brute-force isomorphism
-searches all run by enumeration.
+many copies of each corner ``e_i R``), which makes isomorphism testing exact.
+A ``FiniteModule`` carries its points explicitly, so kernels, images,
+cokernels, and brute-force isomorphism searches all run by enumeration.
+
+Localizing at a maximal ideal and at an element are one construction over a
+finite ring: the corner cut by an idempotent (the primitive idempotent
+outside the ideal, or the idempotent power of the element).  A projective
+module's cut reads its multiplicities at the matching slots; a finite
+module's cut e*M is built as a checked ``FiniteModule`` over the corner.
 
 The verifiers at the bottom each check one structural statement about these
 modules (refinement in the projective-class monoid, local-global detection of
@@ -68,11 +73,11 @@ class FiniteModule:
     rules (scale takes a ring payload first).  Every construction checks
     that the ring is finite and the carrier has zero and no duplicates.  The
     module axioms are verified where the carrier or rules come from a caller
-    (``FiniteModule(...)``, ``submodule_of_ring``, the module result of
-    ``localize_at_element``): exhaustively where the carrier is small, on a
-    seeded sample otherwise, not at all above 512 points.  Modules the
-    library derives from ring operations are ``_LibraryModule``s and skip
-    it; the tests check their axioms.
+    (``FiniteModule(...)``, ``submodule_of_ring``, the module results of
+    ``localize_at_maximal`` and ``localize_at_element``): exhaustively where
+    the carrier is small, on a seeded sample otherwise, not at all above 512
+    points.  Modules the library derives from ring operations are
+    ``_LibraryModule``s and skip it; the tests check their axioms.
     """
 
     _checks_axioms = True
@@ -516,7 +521,7 @@ class LocalizedView:
     """A module after inverting a multiplicative set: at a maximal ideal
     (target is the ideal's index) or at the powers of one element (target is
     that element).  The factor ring is the corner realizing the localization;
-    every member of the multiplicative set was checked to become a unit."""
+    every generator of the multiplicative set was checked to become a unit."""
 
     source: Union[ProjectiveModule, FiniteModule]
     kind: str
@@ -533,43 +538,83 @@ class LocalizedView:
         return f"localization at {where}: factor {self.factor.descriptor()}"
 
 
-def _maximal_localizer(
-    basis: IdempotentBasis, index: int
-) -> Callable[[ProjectiveModule], LocalizedView]:
-    """Localization at maximal ideal ``index`` for modules over ``basis``:
-    the corner of the index-th primitive idempotent is built once, every
-    element outside the ideal is verified to become a unit of it, and each
-    module's view only reads off its multiplicity there."""
-    ring = basis.ring
-    factor = CornerRing(ring, basis.elements[index])
-    ideal_set = maximal_ideals(ring)[index]
-    for s in ring.elements():
-        if s in ideal_set:
-            continue
-        if factor.try_inverse(factor.from_ambient(s)) is None:
-            raise AssertionError(
-                f"{s!r} lies outside the ideal but does not invert in the factor"
-            )
-    factor_basis = primitive_idempotent_decomposition(factor)
-    if len(factor_basis) != 1:
-        raise AssertionError("corner of a primitive idempotent is not local")
+def _corner_localizer(
+    basis: IdempotentBasis,
+    e: RingElement,
+    inverted: list[RingElement],
+    kind: str,
+    target: Union[int, RingElement],
+) -> Callable[[Union[ProjectiveModule, FiniteModule]], LocalizedView]:
+    """Localization as the corner cut by the idempotent ``e``, for modules
+    over ``basis``'s ring.  The corner eR is built once; each element of
+    ``inverted`` (generators of the multiplicative set; units are closed
+    under products) is verified to become a unit of it; and each primitive
+    idempotent of the corner is matched to exactly one ambient slot, which
+    also fails for a corner that should be local and is not.
 
-    def view(module: ProjectiveModule) -> LocalizedView:
-        rank = module.multiplicities[index]
-        result = ProjectiveModule(factor, factor_basis, (rank,))
-        return LocalizedView(module, "maximal", index, factor, result, rank)
+    A projective module's view reads its multiplicities at those slots (its
+    free rank too, at a maximal ideal).  A finite module is cut down to e*M,
+    each element of ``inverted`` must act bijectively there, and the cut is
+    built as a public ``FiniteModule`` over the corner, so its axioms are
+    checked."""
+    factor = CornerRing(basis.ring, e)
+    for s in inverted:
+        if factor.try_inverse(factor.from_ambient(s)) is None:
+            raise AssertionError(f"{s!r} does not invert in {factor.descriptor()}")
+    factor_basis = primitive_idempotent_decomposition(factor)
+    slots = []
+    for c in factor_basis.elements:
+        matches = [
+            i for i, ei in enumerate(basis.elements) if (e * ei).payload == c.payload
+        ]
+        if len(matches) != 1:
+            raise AssertionError(
+                "corner idempotent does not match exactly one ambient idempotent"
+            )
+        slots.append(matches[0])
+    where = target.literal() if kind == "element" else f"m{target}"
+
+    def view(module: Union[ProjectiveModule, FiniteModule]) -> LocalizedView:
+        if isinstance(module, ProjectiveModule):
+            mults = tuple(module.multiplicities[i] for i in slots)
+            result = ProjectiveModule(factor, factor_basis, mults)
+            rank = mults[0] if kind == "maximal" else None
+            return LocalizedView(module, kind, target, factor, result, rank)
+        points = list(dict.fromkeys(module.scale(e.payload, x) for x in module.points))
+        for s in inverted:
+            if {module.scale(s.payload, x) for x in points} != set(points):
+                raise AssertionError(
+                    f"{s.literal()} does not act bijectively on the localization"
+                )
+        result = FiniteModule(
+            factor,
+            points,
+            module.zero,
+            module.add,
+            module.scale,
+            f"({module.label})_({where})",
+        )
+        return LocalizedView(module, kind, target, factor, result, None)
 
     return view
 
 
-def localize_at_maximal(
-    module: ProjectiveModule, ideal: Union[int, frozenset]
-) -> LocalizedView:
-    """Restrict to the corner complementary to a maximal ideal.
+def _idempotent_basis(module: Union[ProjectiveModule, FiniteModule]) -> IdempotentBasis:
+    if isinstance(module, ProjectiveModule):
+        return module.basis
+    return primitive_idempotent_decomposition(module.ring)
 
-    The result is free over the local factor with rank equal to the matching
-    multiplicity.  Every element outside the ideal is verified to become a
-    unit of the factor."""
+
+def localize_at_maximal(
+    module: Union[ProjectiveModule, FiniteModule], ideal: Union[int, frozenset]
+) -> LocalizedView:
+    """Localize at a maximal ideal: the corner cut by the primitive
+    idempotent outside it.
+
+    A projective result is free over the local factor with rank equal to
+    the matching multiplicity; a finite module's result is its cut, checked
+    as a module over the factor.  Every element outside the ideal is
+    verified to become a unit of the factor."""
     ideals = maximal_ideals(module.ring)
     if isinstance(ideal, int):
         index = ideal
@@ -580,56 +625,11 @@ def localize_at_maximal(
             index = ideals.index(frozenset(ideal))
         except ValueError:
             raise ValueError("the given set is not one of the maximal ideals") from None
-    return _maximal_localizer(module.basis, index)(module)
-
-
-def _element_corner(ring: Ring, f: RingElement) -> tuple[RingElement, CornerRing]:
-    """The idempotent power e of f and the corner eR realizing the
-    localization at f, with every power of f verified to invert there."""
-    ring._own(f)
-    e = idempotent_power(f)
-    factor = CornerRing(ring, e)
-    power = ring.one()
-    seen = set()
-    while power.payload not in seen:
-        seen.add(power.payload)
-        image = factor.from_ambient(power)
-        if factor.try_inverse(image) is None:
-            raise AssertionError(
-                f"power {power!r} of {f!r} does not invert in the factor"
-            )
-        power = power * f
-    return e, factor
-
-
-def _element_localizer(
-    basis: IdempotentBasis, f: RingElement
-) -> Callable[[ProjectiveModule], LocalizedView]:
-    """Localization at the powers of f for modules over ``basis``: the
-    corner is built and checked once, and each primitive idempotent of the
-    corner is matched once to the ambient idempotent whose multiplicity it
-    carries."""
-    e, factor = _element_corner(basis.ring, f)
-    factor_basis = primitive_idempotent_decomposition(factor)
-    slots = []
-    for c in factor_basis.elements:
-        matches = [
-            i
-            for i, ei in enumerate(basis.elements)
-            if (e * ei).payload == c.payload
-        ]
-        if len(matches) != 1:
-            raise AssertionError(
-                "corner idempotent does not match exactly one ambient idempotent"
-            )
-        slots.append(matches[0])
-
-    def view(module: ProjectiveModule) -> LocalizedView:
-        mults = tuple(module.multiplicities[i] for i in slots)
-        result = ProjectiveModule(factor, factor_basis, mults)
-        return LocalizedView(module, "element", f, factor, result, None)
-
-    return view
+    basis = _idempotent_basis(module)
+    outside = [s for s in module.ring.elements() if s not in ideals[index]]
+    return _corner_localizer(basis, basis.elements[index], outside, "maximal", index)(
+        module
+    )
 
 
 def localize_at_element(
@@ -638,26 +638,11 @@ def localize_at_element(
     """Invert the powers of f.
 
     In a finite commutative ring some power e of f is idempotent, and
-    inverting f amounts to cutting down to the corner eR (f acts invertibly
+    inverting f amounts to the same corner cut, by eR (f acts invertibly
     there).  A nilpotent f gives the zero localization."""
-    if isinstance(module, ProjectiveModule):
-        return _element_localizer(module.basis, f)(module)
-    e, factor = _element_corner(module.ring, f)
-    ep = e.payload
-    points = list(dict.fromkeys(module.scale(ep, x) for x in module.points))
-    fp = f.payload
-    images = {module.scale(fp, x) for x in points}
-    if images != set(points):
-        raise AssertionError("f does not act bijectively on the localization")
-    result = FiniteModule(
-        factor,
-        points,
-        module.zero,
-        module.add,
-        module.scale,
-        f"({module.label})_({f.literal()})",
-    )
-    return LocalizedView(module, "element", f, factor, result, None)
+    module.ring._own(f)
+    e = idempotent_power(f)
+    return _corner_localizer(_idempotent_basis(module), e, [f], "element", f)(module)
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +815,16 @@ def local_global_verify(ring: Ring, bound: int) -> VerifierReport:
     M iso N must agree with rank equality at every maximal ideal.  The
     corner of each maximal ideal is built and checked once, as
     :func:`localize_at_maximal` would, and shared by every module's view."""
-    count, checked, counterexample = _compare_global_and_local(
-        ring,
-        bound,
-        lambda basis: [_maximal_localizer(basis, i) for i in range(len(basis))],
-    )
+
+    def localizers(basis: IdempotentBasis) -> list:
+        return [
+            _corner_localizer(
+                basis, e, [s for s in ring.elements() if s not in m], "maximal", i
+            )
+            for i, (e, m) in enumerate(zip(basis.elements, maximal_ideals(ring)))
+        ]
+
+    count, checked, counterexample = _compare_global_and_local(ring, bound, localizers)
     holds = counterexample is None
     summary = f"{count} modules, {len(maximal_ideals(ring))} maximal ideals"
     return VerifierReport(
@@ -874,7 +864,12 @@ def partition_of_unity_verify(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
         )
     _, checked, counterexample = _compare_global_and_local(
-        ring, bound, lambda basis: [_element_localizer(basis, g) for g in gens]
+        ring,
+        bound,
+        lambda basis: [
+            _corner_localizer(basis, idempotent_power(g), [g], "element", g)
+            for g in gens
+        ],
     )
     holds = counterexample is None
     combination = " + ".join(

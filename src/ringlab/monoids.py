@@ -137,47 +137,34 @@ def normalize_and_eq(
         return EqResult.EQUAL if a.exponents == b.exponents else EqResult.UNEQUAL
     if search_bound < 0:
         raise ValueError("search_bound must be nonnegative")
+    if a.exponents == b.exponents:
+        return EqResult.EQUAL
     moves = []
     for lhs, rhs in pres.relations:
         moves.append((lhs, rhs))
         moves.append((rhs, lhs))
-    seen_a = {a.exponents}
-    seen_b = {b.exponents}
-    frontier_a = [a.exponents]
-    frontier_b = [b.exponents]
-    if seen_a & seen_b:
-        return EqResult.EQUAL
-    truncated_a = truncated_b = False
+    # side 0 is a, side 1 is b; each round expands a's frontier, then b's
+    seen = ({a.exponents}, {b.exponents})
+    frontiers = [[a.exponents], [b.exponents]]
+    truncated = [False, False]
     for _ in range(search_bound):
-        if not frontier_a and not frontier_b:
+        if not any(frontiers):
             break
-        next_a: list[tuple[int, ...]] = []
-        for vec in frontier_a:
-            for nxt in _neighbors(vec, moves):
-                if nxt not in seen_a:
-                    if len(seen_a) >= _STATE_BUDGET:
-                        truncated_a = True
-                        continue
-                    seen_a.add(nxt)
-                    next_a.append(nxt)
-                    if nxt in seen_b:
-                        return EqResult.EQUAL
-        frontier_a = next_a
-        next_b: list[tuple[int, ...]] = []
-        for vec in frontier_b:
-            for nxt in _neighbors(vec, moves):
-                if nxt not in seen_b:
-                    if len(seen_b) >= _STATE_BUDGET:
-                        truncated_b = True
-                        continue
-                    seen_b.add(nxt)
-                    next_b.append(nxt)
-                    if nxt in seen_a:
-                        return EqResult.EQUAL
-        frontier_b = next_b
-    complete_a = not frontier_a and not truncated_a
-    complete_b = not frontier_b and not truncated_b
-    if complete_a or complete_b:
+        for side, mine in enumerate(seen):
+            other = seen[1 - side]
+            grown: list[tuple[int, ...]] = []
+            for vec in frontiers[side]:
+                for nxt in _neighbors(vec, moves):
+                    if nxt not in mine:
+                        if len(mine) >= _STATE_BUDGET:
+                            truncated[side] = True
+                            continue
+                        mine.add(nxt)
+                        grown.append(nxt)
+                        if nxt in other:
+                            return EqResult.EQUAL
+            frontiers[side] = grown
+    if any(not f and not t for f, t in zip(frontiers, truncated)):
         # one side's class is fully known and the other start never appeared
         return EqResult.UNEQUAL
     return EqResult.INCONCLUSIVE

@@ -335,6 +335,41 @@ def test_localize_at_element(capsys):
     assert "corner(modular(6), 4)" in out
 
 
+def test_localize_at_a_swapped_maximal_ideal_is_an_internal_error(capsys, monkeypatch):
+    # an element outside the wrong ideal fails to invert in the corner: exit 4,
+    # never the violation code
+    real = ringlab.modules.maximal_ideals
+    monkeypatch.setattr(ringlab.modules, "maximal_ideals", lambda ring: real(ring)[::-1])
+    code, out = run(
+        capsys, "localize", "--ring", "modular(6)", "--module", "2,1",
+        "--at-maximal", "0",
+    )
+    assert code == 4
+    assert out.startswith("internal error: ")
+    assert "does not invert in corner(modular(6), 3)" in out
+
+
+def test_localization_invertibility_check_survives_python_O():
+    script = """
+import pytest, ringlab.cli, ringlab.modules
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+real = ringlab.modules.maximal_ideals
+ringlab.modules.maximal_ideals = lambda ring: real(ring)[::-1]
+with pytest.raises(AssertionError, match="does not invert"):
+    ringlab.modules.localize_at_maximal(ringlab.modules.ring_module(ringlab.ModularRing(6)), 0)
+argv = ["localize", "--ring", "modular(6)", "--module", "2,1", "--at-maximal", "0"]
+print("exit", ringlab.cli.main(argv))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("internal error: ")
+    assert lines[-1] == "exit 4"
+
+
 def test_localize_needs_exactly_one_site(capsys):
     code, _ = run(capsys, "localize", "--ring", "modular(6)", "--module", "1,1")
     assert code == 3

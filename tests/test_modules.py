@@ -1,6 +1,8 @@
 """Finite modules, projective multiplicity classes, and theorem verifiers."""
 
+import itertools
 import json
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ from ringlab import (
     module_iso,
     parse_ring,
     partition_of_unity_verify,
+    primitive_idempotent_decomposition,
     projective_module,
     projective_monoid,
     quotient_by_cyclic,
@@ -423,6 +426,74 @@ def test_localize_finite_module_at_element():
     view = localize_at_element(ring_module(Z6), Z6.make(3))
     assert len(view.result) == 2
     assert sorted(view.result.points) == [0, 3]
+
+
+LOCALIZATION_RINGS = (
+    "modular(4)",
+    "modular(6)",
+    "modular(12)",
+    "modular(30)",
+    "product(modular(2), modular(4))",
+    "trivial(modular(3))",
+)
+
+
+@pytest.mark.parametrize("descriptor", LOCALIZATION_RINGS)
+def test_maximal_and_element_localizations_cut_the_same_corner(descriptor):
+    # the maximal ideal #i is the one outside the primitive idempotent e_i,
+    # so localizing at it and at e_i are the same corner cut
+    ring = parse_ring(descriptor)
+    basis = primitive_idempotent_decomposition(ring)
+    for t in itertools.product(range(3), repeat=len(basis)):
+        m = projective_module(ring, t)
+        for i, e in enumerate(basis.elements):
+            at_ideal = localize_at_maximal(m, i)
+            at_element = localize_at_element(m, e)
+            assert at_ideal.factor == at_element.factor
+            assert at_ideal.result.multiplicities == (t[i],)
+            assert at_element.result.multiplicities == (t[i],)
+            assert at_ideal.free_rank == t[i]
+
+
+@pytest.mark.parametrize("descriptor", LOCALIZATION_RINGS)
+def test_a_cokernel_is_the_product_of_its_maximal_localizations(descriptor):
+    # C = (+)_i e_i C, so |C| is the product of the |C_m|.  The cokernel of
+    # [a] or [a b] depends only on the ideals aR and bR, so one matrix per
+    # tuple of principal ideals stands for all of them.
+    ring = parse_ring(descriptor)
+    basis = primitive_idempotent_decomposition(ring)
+    ideal_of = {a: frozenset(cyclic_submodule(a).points) for a in ring.elements()}
+    rows = {}
+    for row in itertools.chain(
+        ((a,) for a in ring.elements()), itertools.product(ring.elements(), repeat=2)
+    ):
+        rows.setdefault(tuple(ideal_of[a] for a in row), row)
+    for row in rows.values():
+        coker = kernel_image_cokernel(RingMatrix.from_rows(ring, [list(row)]))[2]
+        sizes = []
+        for i, e in enumerate(basis.elements):
+            view = localize_at_maximal(coker, i)
+            assert view.result.ring == view.factor
+            assert view.result.point_set == localize_at_element(coker, e).result.point_set
+            sizes.append(len(view.result))
+        assert prod(sizes) == len(coker), (row, sizes)
+
+
+def test_localize_a_finite_module_at_a_maximal_ideal():
+    view = localize_at_maximal(ring_module(Z6), 0)
+    assert sorted(view.result.points) == [0, 3]
+    assert view.result.label == "(R)_(m0)"
+    assert view.free_rank is None
+
+
+def test_swapped_maximal_ideals_fail_the_invertibility_check(monkeypatch):
+    # index 0 then names the ideal of the other corner: some element outside
+    # it is a zero divisor of corner 0, and that is a bug, not a violation
+    real = ringlab.modules.maximal_ideals
+    monkeypatch.setattr(ringlab.modules, "maximal_ideals", lambda ring: real(ring)[::-1])
+    for module in (projective_module(Z6, (2, 1)), ring_module(Z6)):
+        with pytest.raises(AssertionError, match="does not invert"):
+            localize_at_maximal(module, 0)
 
 
 # ---------------------------------------------------------------------------
