@@ -11,6 +11,7 @@ finite ring: the corner cut by an idempotent (the primitive idempotent
 outside the ideal, or the idempotent power of the element).  A projective
 module's cut reads its multiplicities at the matching slots; a finite
 module's cut e*M is built as a checked ``FiniteModule`` over the corner.
+Each kind of target has one builder, used by the public calls and verifiers.
 
 The verifiers at the bottom each check one structural statement about these
 modules (refinement in the projective-class monoid, local-global detection of
@@ -19,7 +20,8 @@ plus diagonal reduction, lifting reductions through the radical, the
 decomposition behind each regular 1x1 matrix) and return a ``VerifierReport``
 with counts and, on failure, a counterexample payload.  Every section of
 ``ringlab verify`` is one of these reports; ``verify_suite`` builds all six,
-sweeping the small shapes once for the cancellation and Jacobson reports.
+sweeping the small shapes once for the cancellation and Jacobson reports,
+and owns the one modular-ring gate, which its two matrix sections share.
 """
 
 from __future__ import annotations
@@ -203,12 +205,6 @@ class FiniteModule:
         multiples r*g."""
         multiples = set(self._multiples(g))
         return {self.add(x, m) for x in reached for m in multiples}
-
-    def span(self, generators: Iterable[Any]) -> frozenset:
-        current = {self.zero}
-        for g in generators:
-            current = self._grow(current, g)
-        return frozenset(current)
 
     def generators(self) -> tuple[Any, ...]:
         """A greedy generating sequence: walk the carrier in order, keeping
@@ -538,13 +534,16 @@ class LocalizedView:
         return f"localization at {where}: factor {self.factor.descriptor()}"
 
 
+_Localizer = Callable[[Union[ProjectiveModule, FiniteModule]], LocalizedView]
+
+
 def _corner_localizer(
     basis: IdempotentBasis,
     e: RingElement,
     inverted: list[RingElement],
     kind: str,
     target: Union[int, RingElement],
-) -> Callable[[Union[ProjectiveModule, FiniteModule]], LocalizedView]:
+) -> _Localizer:
     """Localization as the corner cut by the idempotent ``e``, for modules
     over ``basis``'s ring.  The corner eR is built once; each element of
     ``inverted`` (generators of the multiplicative set; units are closed
@@ -599,6 +598,19 @@ def _corner_localizer(
     return view
 
 
+def _maximal_localizer(basis: IdempotentBasis, index: int) -> _Localizer:
+    """Localization at maximal ideal #index: the corner of the ideal's
+    idempotent, with every element outside the ideal inverted."""
+    ideal = maximal_ideals(basis.ring)[index]
+    outside = [s for s in basis.ring.elements() if s not in ideal]
+    return _corner_localizer(basis, basis.elements[index], outside, "maximal", index)
+
+
+def _element_localizer(basis: IdempotentBasis, f: RingElement) -> _Localizer:
+    """Localization at f: the corner of f's idempotent power, f inverted."""
+    return _corner_localizer(basis, idempotent_power(f), [f], "element", f)
+
+
 def _idempotent_basis(module: Union[ProjectiveModule, FiniteModule]) -> IdempotentBasis:
     if isinstance(module, ProjectiveModule):
         return module.basis
@@ -625,11 +637,7 @@ def localize_at_maximal(
             index = ideals.index(frozenset(ideal))
         except ValueError:
             raise ValueError("the given set is not one of the maximal ideals") from None
-    basis = _idempotent_basis(module)
-    outside = [s for s in module.ring.elements() if s not in ideals[index]]
-    return _corner_localizer(basis, basis.elements[index], outside, "maximal", index)(
-        module
-    )
+    return _maximal_localizer(_idempotent_basis(module), index)(module)
 
 
 def localize_at_element(
@@ -641,8 +649,7 @@ def localize_at_element(
     inverting f amounts to the same corner cut, by eR (f acts invertibly
     there).  A nilpotent f gives the zero localization."""
     module.ring._own(f)
-    e = idempotent_power(f)
-    return _corner_localizer(_idempotent_basis(module), e, [f], "element", f)(module)
+    return _element_localizer(_idempotent_basis(module), f)(module)
 
 
 # ---------------------------------------------------------------------------
@@ -774,24 +781,18 @@ def refinement_verify(ring: Ring, splittings: int, bound: int) -> VerifierReport
 
 
 def _compare_global_and_local(
-    ring: Ring,
-    bound: int,
-    localizers: Callable[
-        [IdempotentBasis], list[Callable[[ProjectiveModule], LocalizedView]]
-    ],
+    basis: IdempotentBasis, bound: int, localizers: list[_Localizer]
 ) -> tuple[int, int, Optional[str]]:
-    """For every pair of projectives with multiplicities up to the bound,
-    compare global isomorphism with isomorphism of all the localizations.
-    ``localizers`` gives one view function per localization target, built
-    once for the ring's idempotent basis and applied to every module.
+    """For every pair of projectives over ``basis`` with multiplicities up
+    to the bound, compare global isomorphism with isomorphism of all the
+    localizations.  ``localizers`` holds one view function per localization
+    target, each built once and applied to every module.
     Returns (module count, pairs checked, first disagreement or None)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    basis = primitive_idempotent_decomposition(ring)
-    localize = localizers(basis)
     vectors = list(itertools.product(range(bound + 1), repeat=len(basis)))
-    modules = {t: ProjectiveModule(ring, basis, t) for t in vectors}
-    views = {t: [view(modules[t]) for view in localize] for t in vectors}
+    modules = {t: ProjectiveModule(basis.ring, basis, t) for t in vectors}
+    views = {t: [view(modules[t]) for view in localizers] for t in vectors}
     checked = 0
     for s in vectors:
         for t in vectors:
@@ -813,20 +814,13 @@ def local_global_verify(ring: Ring, bound: int) -> VerifierReport:
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
     M iso N must agree with rank equality at every maximal ideal.  The
-    corner of each maximal ideal is built and checked once, as
-    :func:`localize_at_maximal` would, and shared by every module's view."""
-
-    def localizers(basis: IdempotentBasis) -> list:
-        return [
-            _corner_localizer(
-                basis, e, [s for s in ring.elements() if s not in m], "maximal", i
-            )
-            for i, (e, m) in enumerate(zip(basis.elements, maximal_ideals(ring)))
-        ]
-
-    count, checked, counterexample = _compare_global_and_local(ring, bound, localizers)
+    corner of each maximal ideal is built and checked once, by the builder
+    :func:`localize_at_maximal` uses, and shared by every module's view."""
+    basis = primitive_idempotent_decomposition(ring)
+    localizers = [_maximal_localizer(basis, i) for i in range(len(basis))]
+    count, checked, counterexample = _compare_global_and_local(basis, bound, localizers)
     holds = counterexample is None
-    summary = f"{count} modules, {len(maximal_ideals(ring))} maximal ideals"
+    summary = f"{count} modules, {len(basis)} maximal ideals"
     return VerifierReport(
         name="local-global",
         instance=f"{ring.descriptor()} bound={bound}",
@@ -842,8 +836,8 @@ def partition_of_unity_verify(
 ) -> VerifierReport:
     """Like the local-global check, but localizing at finitely many elements
     that generate the unit ideal (verified by exhaustive combination search).
-    The corner of each generator is built and checked once, as
-    :func:`localize_at_element` would, and shared by every module's view."""
+    The corner of each generator is built and checked once, by the builder
+    :func:`localize_at_element` uses, and shared by every module's view."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -863,14 +857,9 @@ def partition_of_unity_verify(
         raise ValueError(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
         )
-    _, checked, counterexample = _compare_global_and_local(
-        ring,
-        bound,
-        lambda basis: [
-            _corner_localizer(basis, idempotent_power(g), [g], "element", g)
-            for g in gens
-        ],
-    )
+    basis = primitive_idempotent_decomposition(ring)
+    localizers = [_element_localizer(basis, g) for g in gens]
+    _, checked, counterexample = _compare_global_and_local(basis, bound, localizers)
     holds = counterexample is None
     combination = " + ".join(
         f"{g.literal()}*{r.literal()}" for g, r in zip(gens, witness)
@@ -1122,14 +1111,19 @@ def _cancellation_report(
     )
 
 
+def _require_verify_ring(ring: Ring) -> None:
+    """The one ring gate of the verify suite and its matrix sections."""
+    if not isinstance(ring, ModularRing):
+        raise UnsupportedRing(
+            f"the verify suite runs over modular rings, got {ring.descriptor()}"
+        )
+
+
 def cancellation_and_reduction_verify(ring: Ring, bound: int) -> VerifierReport:
     """The two faces of diagonal reducibility, both checked at desk scale:
     the cancellation law 2u+A = u+B implies u+A = B in the projective-class
     monoid, and witnessed reduction of every small regular matrix."""
-    if not isinstance(ring, ModularRing):
-        raise UnsupportedRing(
-            f"matrix-side verification needs a modular ring, got {ring.descriptor()}"
-        )
+    _require_verify_ring(ring)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     return _cancellation_report(ring, bound, _small_shape_sweep(ring, None))
@@ -1174,10 +1168,7 @@ def jacobson_lift_verify(ring: Ring, budget: int | None = None) -> VerifierRepor
     """Reduction lifts through the radical: every small regular matrix over
     R/J(R) reduces, every one over R reduces, and each reduction over R
     projects to a reduction over R/J(R)."""
-    if not isinstance(ring, ModularRing):
-        raise UnsupportedRing(
-            f"reduction verification needs a modular ring, got {ring.descriptor()}"
-        )
+    _require_verify_ring(ring)
     return _jacobson_report(ring, _small_shape_sweep(ring, budget), budget)
 
 
@@ -1185,14 +1176,18 @@ def verify_suite(
     ring: Ring, bound: int, generators: Iterable[RingElement]
 ) -> list[VerifierReport]:
     """The six sections of ``ringlab verify`` over a modular ring, in order;
-    one small-shape sweep feeds the cancellation and the Jacobson reports."""
+    one small-shape sweep feeds the cancellation and the Jacobson reports.
+    The ring gate runs first; lazy ``generators`` are read after it and
+    before the bound check, the order in which the CLI reports bad input."""
+    _require_verify_ring(ring)
+    gens = tuple(generators)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     sweep = _small_shape_sweep(ring, None)
     return [
         refinement_verify(ring, 100, bound),
         local_global_verify(ring, bound),
-        partition_of_unity_verify(ring, generators, min(bound, 2)),
+        partition_of_unity_verify(ring, gens, min(bound, 2)),
         _cancellation_report(ring, bound, sweep),
         _jacobson_report(ring, sweep, None),
         decomposition_verify(ring),

@@ -1,5 +1,6 @@
 """Command-line behavior: goldens, exit codes, and output stability."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -532,9 +533,57 @@ def test_verify_reduces_each_small_matrix_once(capsys, monkeypatch, ring, calls)
 
 
 def test_verify_rejects_non_modular(capsys):
+    # the ring gate runs before the default generators are computed, and
+    # integers has no idempotent basis to compute them from
     code, out = run(capsys, "verify", "--ring", "integers", "--bound", "2")
     assert code == 3
-    assert "input error" in out
+    assert out == "input error: the verify suite runs over modular rings, got integers\n"
+
+
+@pytest.mark.parametrize("extra", [("--bound", "1"), ("--bound", "-1", "--generators", "zz")])
+def test_verify_gates_the_ring_before_parsing_anything(capsys, extra):
+    code, out = run(capsys, "verify", "--ring", "trivial(modular(2))", *extra)
+    assert code == 3
+    assert out == (
+        "input error: the verify suite runs over modular rings, got trivial(modular(2))\n"
+    )
+
+
+def test_verify_reports_a_monoid_cancellation_failure(capsys, monkeypatch):
+    # a pair reported by the monoid check is a violation (exit 1), never exit 4
+    real = ringlab.modules.cancellation_law_check
+
+    def report_a_pair(unit, candidates, *args):
+        pair = tuple(unit.presentation.element(v) for v in ((0, 1), (0, 2)))
+        report = real(unit, candidates, *args)
+        return dataclasses.replace(report, holds=False, counterexample=pair)
+
+    monkeypatch.setattr(ringlab.modules, "cancellation_law_check", report_a_pair)
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "2")
+    assert code == 1
+    assert "  counterexample: monoid pair A=(0, 1) B=(0, 2)\ncheck=jacobson-lift" in out
+    assert out.endswith("result=violation\n")
+
+
+def test_monoid_cancellation_failure_survives_python_O():
+    script = """
+import dataclasses, ringlab.cli, ringlab.modules
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+real = ringlab.modules.cancellation_law_check
+def check(unit, candidates, *args):
+    pair = tuple(unit.presentation.element(v) for v in ((0, 1), (0, 2)))
+    return dataclasses.replace(real(unit, candidates, *args), holds=False, counterexample=pair)
+ringlab.modules.cancellation_law_check = check
+print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "  counterexample: monoid pair A=(0, 1) B=(0, 2)" in lines
+    assert lines[-2:] == ["result=violation", "exit 1"]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +628,19 @@ def test_counterexample_ex34_budget(capsys):
     code, out = run(capsys, "counterexample", "ex34", "--height", "5")
     assert code == 2
     assert "exhausted" in out
+
+
+@pytest.mark.parametrize(
+    "value, code, out",
+    [
+        ("1000", 2, "exhausted: 390625 column pairs exceed the search budget 1000"),
+        ("abc", 3, "input error: RINGLAB_SEARCH_BUDGET must be an integer, got 'abc'"),
+        ("0", 3, "input error: RINGLAB_SEARCH_BUDGET must be positive, got 0"),
+    ],
+)
+def test_search_budget_is_read_from_the_environment(capsys, monkeypatch, value, code, out):
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", value)
+    assert run(capsys, "counterexample", "ex34") == (code, f"{out}\n")
 
 
 # ---------------------------------------------------------------------------

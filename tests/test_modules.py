@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from math import prod
 from pathlib import Path
 
@@ -49,7 +50,9 @@ from ringlab import (
     ring_module,
     stably_free_check,
     to_finite_module,
+    verify_suite,
 )
+from ringlab.cli import _default_partition_generators
 from ringlab.modules import _small_shape_sweep
 
 Z4 = ModularRing(4)
@@ -715,6 +718,48 @@ def test_verifiers_accept_bound_zero():
     report = cancellation_and_reduction_verify(Z4, 0)
     assert report.holds
     assert report.details[0] == "cancellation pairs checked: 1"
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["trivial(modular(2))", "product(modular(2), modular(3))", "integers"]
+)
+def test_verify_suite_gates_the_ring_before_any_section(monkeypatch, descriptor):
+    def section(*args, **kwargs):
+        raise AssertionError("a section ran before the ring gate")
+
+    for name in (
+        "refinement_verify",
+        "local_global_verify",
+        "partition_of_unity_verify",
+        "decomposition_verify",
+        "_small_shape_sweep",
+    ):
+        monkeypatch.setattr(ringlab.modules, name, section)
+
+    def unread_generators():
+        raise AssertionError("the generators were read before the ring gate")
+        yield
+
+    ring = parse_ring(descriptor)
+    message = re.escape(f"the verify suite runs over modular rings, got {descriptor}")
+    with pytest.raises(UnsupportedRing, match=message):
+        verify_suite(ring, 2, unread_generators())
+    # the suite's two matrix sections share the gate
+    with pytest.raises(UnsupportedRing, match=message):
+        cancellation_and_reduction_verify(ring, 2)
+    with pytest.raises(UnsupportedRing, match=message):
+        jacobson_lift_verify(ring)
+
+
+def test_verify_suite_lines_match_the_cli_golden():
+    goldens = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+    )
+    stdout = next(g for g in goldens if g["name"] == "verify_modular12")["stdout"]
+    assert stdout.endswith("\nresult=pass\n")
+    reports = verify_suite(Z12, 2, _default_partition_generators(Z12))
+    lines = [line for report in reports for line in report.lines()]
+    assert "".join(f"{line}\n" for line in lines) == stdout[: -len("result=pass\n")]
 
 
 # ---------------------------------------------------------------------------
