@@ -116,26 +116,18 @@ def _parse_element(ring: Ring, text: str):
 
 
 def _presentation_from_args(args: argparse.Namespace) -> MonoidPresentation:
-    if args.monoid is not None:
-        try:
-            doc = json.loads(args.monoid)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--monoid is not valid JSON: {exc}") from exc
-        return MonoidPresentation.from_json(doc)
-    if args.generators is None:
-        raise ValueError("pass --generators K for a free monoid or --monoid JSON")
-    return MonoidPresentation(generator_count=args.generators, relations=())
+    if args.monoid is None:
+        return MonoidPresentation(generator_count=args.generators, relations=())
+    try:
+        doc = json.loads(args.monoid)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--monoid is not valid JSON: {exc}") from exc
+    return MonoidPresentation.from_json(doc)
 
 
-def _cmd_snf(args: argparse.Namespace) -> int:
+def _cmd_reduction(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
-    reduction = smith_normal_form(matrix)
-    return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
-
-
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input)
-    reduction = reduce_matrix(matrix)
+    reduction = args.reducer(matrix)
     return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
 
 
@@ -202,8 +194,6 @@ def _cmd_check_cancellation(args: argparse.Namespace) -> int:
 def _cmd_localize(args: argparse.Namespace) -> int:
     ring = parse_ring(args.ring)
     module = projective_module(ring, _parse_exponents(args.module))
-    if (args.at_element is None) == (args.at_maximal is None):
-        raise ValueError("pass exactly one of --at-element or --at-maximal")
     if args.at_element is not None:
         f = _parse_element(ring, args.at_element)
         view = localize_at_element(module, f)
@@ -274,26 +264,27 @@ def _print_principality(verdict, instance: str) -> int:
     return PASS
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
-    degree = args.degree
-    if degree is None:
-        degree = 3 if args.which == "ex31" else 2
-    if args.which == "ex31":
-        ring = PolynomialRing(ModularRing(4), bound=degree)
-        generators = [ring.make((2,)), ring.gen()]
-        verdict = bounded_principality_check(generators, degree)
-        return _print_principality(
-            verdict,
-            f"{ring.descriptor()} ideal=(2, X) degree<={degree}",
-        )
-    if args.which == "ex33":
-        ring = BivariatePolynomialRing(PrimeField(args.p), degree)
-        gx, gy = ring.gens()
-        verdict = bounded_principality_check([gx, gy], degree)
-        return _print_principality(
-            verdict,
-            f"{ring.descriptor()} ideal=(X, Y) total degree<={degree}",
-        )
+def _cmd_ex31(args: argparse.Namespace) -> int:
+    ring = PolynomialRing(ModularRing(4), bound=args.degree)
+    generators = [ring.make((2,)), ring.gen()]
+    verdict = bounded_principality_check(generators, args.degree)
+    return _print_principality(
+        verdict,
+        f"{ring.descriptor()} ideal=(2, X) degree<={args.degree}",
+    )
+
+
+def _cmd_ex33(args: argparse.Namespace) -> int:
+    ring = BivariatePolynomialRing(PrimeField(args.p), args.degree)
+    gx, gy = ring.gens()
+    verdict = bounded_principality_check([gx, gy], args.degree)
+    return _print_principality(
+        verdict,
+        f"{ring.descriptor()} ideal=(X, Y) total degree<={args.degree}",
+    )
+
+
+def _cmd_ex34(args: argparse.Namespace) -> int:
     report = trivial_extension_hermite_search(height=args.height)
     print(f"instance={report.vector.ring.descriptor()} row=(2, e) height<={report.height}")
     print(f"column_pairs_examined={report.checked}")
@@ -317,15 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("snf", help="Smith normal form over integers or gf(p)[X]")
-    p.add_argument("--input", default="-", help="matrix JSON file, - for stdin")
-    p.add_argument("--emit-witness", action="store_true")
-    p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("reduce", help="diagonal reduction (modular rings included)")
-    p.add_argument("--input", default="-", help="matrix JSON file, - for stdin")
-    p.add_argument("--emit-witness", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
+    for name, reducer, text in (
+        ("snf", smith_normal_form, "Smith normal form over integers or gf(p)[X]"),
+        ("reduce", reduce_matrix, "diagonal reduction (modular rings included)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", default="-", help="matrix JSON file, - for stdin")
+        p.add_argument("--emit-witness", action="store_true")
+        p.set_defaults(func=_cmd_reduction, reducer=reducer)
 
     p = sub.add_parser("bezout", help="extended gcd with verified identity")
     p.add_argument("--ring", default="integers")
@@ -334,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bezout)
 
     p = sub.add_parser("refine", help="2x2 refinement grid for x1+x2 = y1+y2")
-    p.add_argument("--generators", type=int, help="rank of a free monoid")
-    p.add_argument("--monoid", help='presentation JSON {"generators":..,"relations":..}')
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--generators", type=int, help="rank of a free monoid")
+    group.add_argument("--monoid", help='presentation JSON {"generators":..,"relations":..}')
     p.add_argument("--bound", type=int, default=8)
     p.add_argument("x1")
     p.add_argument("x2")
@@ -344,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("check-cancellation", help="2u+A = u+B implies u+A = B")
-    p.add_argument("--generators", type=int, help="rank of a free monoid")
-    p.add_argument("--monoid", help="presentation JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--generators", type=int, help="rank of a free monoid")
+    group.add_argument("--monoid", help='presentation JSON {"generators":..,"relations":..}')
     p.add_argument("--unit", required=True, help="exponents of u, comma separated")
     p.add_argument("--max-entry", type=int, default=3)
     p.add_argument("--bound", type=int, default=8)
@@ -354,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="localize a projective module")
     p.add_argument("--ring", required=True)
     p.add_argument("--module", required=True, help="multiplicities, comma separated")
-    p.add_argument("--at-element", help="ring element literal")
-    p.add_argument("--at-maximal", type=int, help="maximal ideal index")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--at-element", help="ring element literal")
+    group.add_argument("--at-maximal", type=int, help="maximal ideal index")
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("iso", help="projective module isomorphism")
@@ -374,11 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("counterexample", help="bounded refutation searches")
-    p.add_argument("which", choices=("ex31", "ex33", "ex34"))
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--p", type=int, default=2, help="prime for ex33 coefficients")
-    p.add_argument("--height", type=int, default=2, help="entry height for ex34")
-    p.set_defaults(func=_cmd_counterexample)
+    instances = p.add_subparsers(dest="instance", required=True)
+    p = instances.add_parser("ex31", help="(2, X) in Z/4[X]")
+    p.add_argument("--degree", type=int, default=3)
+    p.set_defaults(func=_cmd_ex31)
+    p = instances.add_parser("ex33", help="(X, Y) in gf(p)[X, Y]")
+    p.add_argument("--p", type=int, default=2, help="prime of the coefficients")
+    p.add_argument("--degree", type=int, default=2)
+    p.set_defaults(func=_cmd_ex33)
+    p = instances.add_parser("ex34", help="the row (2, e) over a trivial extension")
+    p.add_argument("--height", type=int, default=2, help="entry height")
+    p.set_defaults(func=_cmd_ex34)
 
     return parser
 

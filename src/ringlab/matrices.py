@@ -45,6 +45,11 @@ against; ``reduction_to_document`` (the output of ``ringlab snf``/``reduce``)
 reports that verify instead of repeating it, and verifies any other pair
 itself.  Every matrix product runs through ``_matmul_payloads``, one ring
 payload dot product (``Ring._dot``) per entry.
+
+One helper, ``_regularity``, picks the route to regularity (some g with
+f g f = f) by ring kind, for ``is_regular_matrix`` and the refinement check
+of ``modules``: Z/n reduces f and builds g from the transforms, other finite
+rings scan every candidate matrix (``_brute_regularity``).
 """
 
 from __future__ import annotations
@@ -570,62 +575,61 @@ def elementary_divisor_chain_check(red: DiagonalReduction) -> bool:
     return all(is_total_divisor(diag[i], diag[i + 1]) for i in range(len(diag) - 1))
 
 
-def _structural_regularity(
+def _brute_regularity(f: RingMatrix) -> Optional[RingMatrix]:
+    """The first g in enumeration order with f @ g @ f == f over a finite
+    ring, or None: a scan of all |R|^(mn) candidate matrices."""
+    ring = f.ring
+    if not ring.is_finite():
+        raise UnsupportedRing("brute-force regularity needs a finite ring")
+    elements = ring.elements()
+    slots = f.rows * f.cols
+    count = len(elements) ** slots
+    cap = search_budget()
+    if count > cap:
+        raise BudgetExceeded(
+            f"{count} candidate matrices exceed the search budget {cap}"
+        )
+    m, n = f.rows, f.cols
+    fp = f.payloads
+    for combo in itertools.product([e.payload for e in elements], repeat=slots):
+        fg = _matmul_payloads(ring, fp, combo, m, n, m)
+        if _matmul_payloads(ring, fg, fp, m, m, n) == fp:
+            return RingMatrix(ring, n, m, combo)
+    return None
+
+
+def _regularity(
     f: RingMatrix,
-) -> tuple[DiagonalReduction, Optional[RingMatrix]]:
-    """Reduce f once; return the reduction and a verified g with f @ g @ f
-    == f built from its transforms, or None when a diagonal entry is not
-    regular."""
+) -> tuple[Optional[RingMatrix], Optional[tuple[RingElement, ...]]]:
+    """A g with f @ g @ f == f (None when f is not regular) and a diagonal
+    form of f (None when none is known: off Z/n, f's own if it is diagonal),
+    by the route that the ring's kind picks."""
+    if not isinstance(f.ring, ModularRing):
+        return _brute_regularity(f), f.diagonal_entries() if f.is_diagonal() else None
     red = diagonal_reduction(f)
+    diag = red.diagonal()
     witnesses = []
-    for d in red.diagonal():
+    for d in diag:
         ok, w = is_regular_element(d)
         if not ok:
-            return red, None
+            return None, diag
         witnesses.append(w)
     # G is the transposed-shape diagonal of the entry witnesses
     G = RingMatrix.diagonal(f.ring, witnesses, rows=f.cols, cols=f.rows)
     g = red.Q @ G @ red.P
     if f @ g @ f != f:
         raise AssertionError("structural regularity witness failed; this is a bug")
-    return red, g
+    return g, diag
 
 
-def is_regular_matrix(
-    f: RingMatrix, method: str = "auto"
-) -> tuple[bool, Optional[RingMatrix]]:
+def is_regular_matrix(f: RingMatrix) -> tuple[bool, Optional[RingMatrix]]:
     """Whether some g satisfies f @ g @ f == f, with a verified witness.
 
-    ``structural`` reduces f and tests each diagonal entry for regularity,
-    assembling the witness from the transforms; ``brute`` scans all candidate
-    matrices of a finite ring in enumeration order.  ``auto`` prefers the
-    structural route for modular rings and falls back to brute force for
-    other finite rings."""
-    ring = f.ring
-    if method == "auto":
-        method = "structural" if isinstance(ring, ModularRing) else "brute"
-    if method == "structural":
-        _, g = _structural_regularity(f)
-        return g is not None, g
-    if method == "brute":
-        if not ring.is_finite():
-            raise UnsupportedRing("brute-force regularity needs a finite ring")
-        elements = ring.elements()
-        slots = f.rows * f.cols
-        count = len(elements) ** slots
-        cap = search_budget()
-        if count > cap:
-            raise BudgetExceeded(
-                f"{count} candidate matrices exceed the search budget {cap}"
-            )
-        m, n = f.rows, f.cols
-        fp = f.payloads
-        for combo in itertools.product([e.payload for e in elements], repeat=slots):
-            fg = _matmul_payloads(ring, fp, combo, m, n, m)
-            if _matmul_payloads(ring, fg, fp, m, m, n) == fp:
-                return True, RingMatrix(ring, n, m, combo)
-        return False, None
-    raise ValueError(f"unknown method {method!r}")
+    One helper picks the route by ring kind: over Z/n, f is reduced and each
+    diagonal entry tested for regularity, the witness assembled from the
+    transforms; other finite rings are scanned in enumeration order."""
+    g, _ = _regularity(f)
+    return g is not None, g
 
 
 # ---------------------------------------------------------------------------

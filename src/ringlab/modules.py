@@ -44,8 +44,7 @@ from .matrices import (
     _matmul_payloads,
     _reduce_payloads,
     _reduction_holds,
-    _structural_regularity,
-    is_regular_matrix,
+    _regularity,
 )
 from .monoids import MonoidPresentation, cancellation_law_check, conical_check, refine
 from .rings import (
@@ -940,13 +939,8 @@ def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierRe
     ring share it, and with it the annihilators the isomorphism search
     caches on its points."""
     ring = f.ring
-    if isinstance(ring, ModularRing):
-        red, g = _structural_regularity(f)
-        regular, diag = g is not None, red.diagonal()
-    else:
-        regular, _ = is_regular_matrix(f)
-        diag = f.diagonal_entries() if f.is_diagonal() else None
-    if not regular:
+    g, diag = _regularity(f)
+    if g is None:
         raise ValueError("the matrix is not regular; the criterion does not apply")
     if diag is None:
         raise UnsupportedRing(

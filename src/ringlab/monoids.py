@@ -132,11 +132,11 @@ def normalize_and_eq(
     """
     if a.presentation != b.presentation:
         raise ValueError("elements belong to different presentations")
+    if search_bound < 0:
+        raise ValueError("search_bound must be nonnegative")
     pres = a.presentation
     if pres.is_free:
         return EqResult.EQUAL if a.exponents == b.exponents else EqResult.UNEQUAL
-    if search_bound < 0:
-        raise ValueError("search_bound must be nonnegative")
     if a.exponents == b.exponents:
         return EqResult.EQUAL
     moves = []

@@ -313,6 +313,15 @@ def test_check_cancellation_rejects_a_negative_max_entry(capsys):
     assert "pairs_checked=1\n" in out
 
 
+def test_check_cancellation_rejects_a_negative_bound_over_a_free_monoid(capsys):
+    code, out = run(
+        capsys, "check-cancellation", "--generators", "2", "--unit", "1,1",
+        "--bound", "-3",
+    )
+    assert code == 3
+    assert out == "input error: search_bound must be nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # module commands
 
@@ -379,6 +388,23 @@ def test_localize_needs_exactly_one_site(capsys):
         "--at-element", "3", "--at-maximal", "0",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "refine", "--generators", "2", "--monoid", '{"generators": 2}',
+            "1,0", "0,1", "1,0", "0,1",
+        ),
+        (
+            "check-cancellation", "--generators", "2", "--monoid", '{"generators": 1}',
+            "--unit", "1",
+        ),
+    ],
+)
+def test_monoid_commands_refuse_both_presentations(capsys, argv):
+    assert run(capsys, *argv) == (3, "")
 
 
 def test_iso_answers_both_ways(capsys):
@@ -628,6 +654,45 @@ def test_counterexample_ex34_budget(capsys):
     code, out = run(capsys, "counterexample", "ex34", "--height", "5")
     assert code == 2
     assert "exhausted" in out
+
+
+# instances with every option set; the recorded goldens above pin ex31
+# --degree 3, ex33 and ex34 with their defaults
+COUNTEREXAMPLE_OUTPUTS = {
+    ("ex33", "--p", "3", "--degree", "2"): (
+        "instance=poly2(gf(3), bound=2) ideal=(X, Y) total degree<=2\n"
+        "verdict=not-principal-up-to bound=2\n"
+        "candidates_examined=242\n"
+        "note: no single generator of degree <= 2"
+        " (242 candidates examined; bounded evidence, not a proof)\n"
+    ),
+    ("ex34", "--height", "1"): (
+        "instance=trivial(integers) row=(2, e) height<=1\n"
+        "column_pairs_examined=6561\n"
+        "verdict=no-reduction-within-bounds\n"
+        "note: no reduction found within bounds"
+        " (entry height <= 1, 6561 column pairs examined; bounded evidence)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(COUNTEREXAMPLE_OUTPUTS))
+def test_counterexample_instance_options_keep_their_output(capsys, argv):
+    assert run(capsys, "counterexample", *argv) == (0, COUNTEREXAMPLE_OUTPUTS[argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ex34", "--degree", "5"),
+        ("ex34", "--p", "3"),
+        ("ex31", "--p", "3"),
+        ("ex31", "--height", "1"),
+        ("ex33", "--height", "1"),
+    ],
+)
+def test_counterexample_refuses_options_its_instance_does_not_read(capsys, argv):
+    assert run(capsys, "counterexample", *argv) == (3, "")
 
 
 @pytest.mark.parametrize(

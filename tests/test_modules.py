@@ -615,6 +615,30 @@ def test_diagonal_refinement_non_square_notes_free_summand():
 def test_diagonal_refinement_requires_regular_input():
     with pytest.raises(ValueError):
         diagonal_refinement_check(RingMatrix.from_rows(Z4, [[2]]))
+    ring = parse_ring("trivial(modular(2))")
+    with pytest.raises(ValueError, match="the matrix is not regular"):
+        diagonal_refinement_check(RingMatrix.from_rows(ring, [[(0, 1)]]))
+
+
+def test_diagonal_refinement_over_a_product_of_fields():
+    ring = parse_ring("product(gf(2), gf(3))")
+    report = diagonal_refinement_check(RingMatrix.diagonal(ring, [(1, 2), (0, 1)]))
+    assert report.holds
+    assert report.checked == 5
+    assert report.lines()[1:] == [
+        "  j=1 d=[1, 2] ann(+)dR=ok quot(+)dR=ok",
+        "  j=2 d=[0, 1] ann(+)dR=ok quot(+)dR=ok",
+        "  kernel/image/cokernel cardinalities match the factors",
+    ]
+
+
+def test_diagonal_refinement_off_z_n_needs_a_diagonal_matrix():
+    ring = parse_ring("product(gf(2), gf(3))")
+    message = re.escape(
+        "no reduction available over product(gf(2), gf(3)); pass a diagonal matrix"
+    )
+    with pytest.raises(UnsupportedRing, match=message):
+        diagonal_refinement_check(RingMatrix.from_rows(ring, [[(1, 2), (0, 1)]]))
 
 
 def test_diagonal_refinement_requires_finite_ring():

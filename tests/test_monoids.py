@@ -68,6 +68,11 @@ def test_free_equality_is_vector_equality():
     assert normalize_and_eq(FREE2.element((1, 2)), FREE2.element((2, 1))) == EqResult.UNEQUAL
 
 
+def test_free_equality_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="search_bound must be nonnegative"):
+        normalize_and_eq(FREE2.element((1, 2)), FREE2.element((1, 2)), -1)
+
+
 def test_absorbing_monoid_classes():
     # a = 2a chains upward, so all positive exponents collapse
     e = ABSORBING.element

@@ -1,5 +1,6 @@
 """Ring arithmetic, descriptors, and element-level structure queries."""
 
+import math
 import os
 import subprocess
 import sys
@@ -342,6 +343,17 @@ def test_regular_elements_match_brute_force(ring):
         assert regular == brute
         if regular:
             assert a * g * a == a
+
+
+def test_modular_regularity_matches_the_gcd_criterion():
+    # a is regular in Z/n exactly when g = gcd(a, n) is coprime to n/g
+    for n in range(2, 37):
+        for a in ModularRing(n).elements():
+            g = math.gcd(a.literal(), n)
+            regular, w = is_regular_element(a)
+            assert regular == (math.gcd(g, n // g) == 1), (n, a.literal())
+            if regular:
+                assert a * w * a == a
 
 
 def test_integer_regularity():
