@@ -27,7 +27,7 @@ from .counterexamples import (
     bounded_principality_check,
     trivial_extension_hermite_search,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, search_budget
 from .matrices import (
     RingMatrix,
     matrix_from_document,
@@ -179,6 +179,10 @@ def _cmd_check_cancellation(args: argparse.Namespace) -> int:
     pres = _presentation_from_args(args)
     unit = pres.element(_parse_exponents(args.unit))
     k = pres.generator_count
+    pairs = (args.max_entry + 1) ** (2 * k)
+    cap = search_budget()
+    if pairs > cap:
+        raise BudgetExceeded(f"{pairs} candidate pairs exceed the search budget {cap}")
     candidates = [
         pres.element(v)
         for v in itertools.product(range(args.max_entry + 1), repeat=k)

@@ -108,7 +108,13 @@ def bounded_principality_check(
     |L| + |T| products per g instead of up to |B|.  The first g that passes
     is the one the full scan would accept, and only it scans B in candidate
     order for its cofactors, so the witnesses are still the first ones.
-    Returns a verified PrincipalWitness or NotPrincipalUpTo."""
+
+    Every product runs through the batch kernel ``Ring._scale``: one call
+    per row of the member table, and per member g one for the images g * T
+    and one per f for the shifted set f + g * L, which must meet the images
+    (``set.isdisjoint``).  Over Z/n[X] each call is one big-int product, so
+    a member costs at most 1 + len(generators) products and no polynomial
+    sum.  Returns a verified PrincipalWitness or NotPrincipalUpTo."""
     if not generators:
         raise ValueError("need at least one ideal generator")
     if bound < 0:
@@ -130,7 +136,7 @@ def bounded_principality_check(
             f"{combo_count} cofactor combinations exceed the search budget {cap}"
         )
     candidates = [h.payload for h in enumerate_up_to(bound)]
-    add, mul, zero = ring._add, ring._mul, ring._zero()
+    add, mul, scale, zero = ring._add, ring._mul, ring._scale, ring._zero()
     targets = [f.payload for f in generators]
     # Row i maps each distinct product f_i * h to the index of its first h.
     # A lexicographically first combination for a sum uses first indices
@@ -138,8 +144,8 @@ def bounded_principality_check(
     rows = []
     for f in targets:
         first: dict = {}
-        for i, h in enumerate(candidates):
-            first.setdefault(mul(f, h), i)
+        for i, product in enumerate(scale(f, candidates)):
+            first.setdefault(product, i)
         rows.append(first.items())
     # Close the table over one row H at a time, walking the partial sums s
     # in the order of their first combinations.  H is a subgroup, so an s
@@ -174,9 +180,8 @@ def bounded_principality_check(
             continue
         examined += 1
         # L = -L, so f - g*l over l in L is f + g*l over l in L
-        shifts = [mul(g, l) for l in low]
-        images = {mul(g, t) for t in reps}
-        if not all(any(add(f, s) in images for s in shifts) for f in targets):
+        images = set(scale(g, reps))
+        if any(images.isdisjoint(scale(g, low, f)) for f in targets):
             continue
         generator = RingElement(ring, g)
         # a cofactor the scan misses (a bug) falls back to zero, which the

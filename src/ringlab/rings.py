@@ -24,13 +24,23 @@ coefficient, so no slot overflows into the next; the packed products are
 summed, and the sum is unpacked once, each coefficient reduced mod n and the
 result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
+The batch kernel ``_scale(x, ys, z)`` returns ``[z + x*y for y in ys]``,
+for the searches that multiply one payload by many.  The base class loops
+over the pairs.  Polynomials over Z/n override it when no coefficient of
+``x*y + z`` can pass 255, that is when ``min(len(x), longest y) * (n-1)**2
++ (n-1) <= 255``: every y gets its own run of one-byte slots in one int,
+one big-int product by x (plus z packed into every run) gives all the
+results, ``bytes.translate`` reduces every slot mod n, and the runs are cut
+apart and trimmed with ``rstrip``.  Otherwise it falls back to the loop.
+
 ``EuclideanOps`` is the one Euclidean interface, for the integers and
 polynomials over a prime field.  It binds four ring-specific payload
 functions once: ``size`` (``abs`` or ``len``), ``divmod`` (the builtin, or
 long division over GF(p), ``PolynomialRing._divmod``), ``nearest_divmod``
 (the same with the smallest remainder) and ``canonical_unit`` (the unit
 making an element nonnegative or monic, with its inverse).  One
-extended-gcd loop, ``egcd``, serves ``bezout_gcd`` over both rings.
+extended-gcd loop, ``egcd``, serves ``bezout_gcd`` over both rings, and over
+Z/n through the integer lifts, scaled by a unit so that d = gcd(a, b, n).
 
 Finite rings expose a fixed enumeration order; every exhaustive search in
 the package walks that order, which is what makes witnesses deterministic.
@@ -40,10 +50,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, MismatchedRings, UnsupportedRing, element_budget
 
@@ -127,6 +138,14 @@ class Ring:
         for x, y in zip(xs, ys):
             acc = add(acc, mul(x, y))
         return acc
+
+    def _scale(self, x: Any, ys: Sequence[Any], z: Any = None) -> list:
+        """``[z + x*y for y in ys]`` on payloads (z zero when None)."""
+        mul = self._mul
+        if z is None:
+            return [mul(x, y) for y in ys]
+        add = self._add
+        return [add(z, mul(x, y)) for y in ys]
 
     def _payload_literal(self, x: Any) -> Any:
         return x
@@ -420,6 +439,21 @@ class PolynomialRing(Ring):
         width = (count * (n - 1) ** 2).bit_length()
         return _unpack(sum(_pack(x, width) * _pack(y, width) for x, y in pairs), width, n)
 
+    def _scale(self, x: tuple, ys: Sequence[tuple], z: tuple | None = None) -> list:
+        n = self._modulus
+        longest = max(map(len, ys), default=0)
+        if n is None or min(len(x), longest) * (n - 1) ** 2 + (n - 1) > 255:
+            return super()._scale(x, ys, z)
+        # one byte per coefficient, a run of `size` bytes per y: no slot of
+        # x*y + z passes 255, so the runs come apart without carries
+        tail = bytes(z or ())
+        size = max(len(x) + longest - 1, len(tail), 1)
+        packed = int.from_bytes(b"".join([bytes(y).ljust(size, b"\0") for y in ys]), "little")
+        shift = int.from_bytes(tail.ljust(size, b"\0") * len(ys), "little")
+        total = packed * int.from_bytes(bytes(x), "little") + shift
+        out = total.to_bytes(size * len(ys), "little").translate(_residue_table(n))
+        return [tuple(out[i:i + size].rstrip(b"\0")) for i in range(0, len(out), size)]
+
     def _zero(self) -> tuple:
         return ()
 
@@ -544,6 +578,14 @@ def _unpack(packed: int, width: int, n: int) -> tuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _residue_table(n: int) -> bytes:
+    """The ``bytes.translate`` table taking each byte to its residue mod n.
+    Only moduli up to 16 pass the one-byte guard of ``_scale``, so the cache
+    holds at most 15 tables."""
+    return bytes(i % n for i in range(256))
 
 
 class BivariatePolynomialRing(Ring):
@@ -1168,17 +1210,38 @@ def _is_nilpotent(a: RingElement) -> bool:
     return power.is_zero()
 
 
+def _canonical_unit_mod(d: int, n: int) -> int:
+    """The least unit u of Z/n with u*d = gcd(d, n) mod n.
+
+    With g = gcd(d, n), u must invert d/g mod n/g; the lifts of that inverse
+    to [0, n) include a unit of Z/n, and the first one is taken."""
+    g = math.gcd(d, n)
+    m = n // g
+    u = pow(d // g, -1, m)
+    while math.gcd(u, n) != 1:
+        u += m
+    return u
+
+
 def bezout_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement, RingElement]:
-    """(d, s, t) with s*a + t*b = d and d dividing both a and b.
+    """(d, s, t) with s*a + t*b = d and d dividing both a and b, d canonical:
+    nonnegative over the integers, monic over GF(p)[x], and gcd(a, b, n)
+    over Z/n.
 
     Supported over the integers, polynomials over a prime field, and modular
-    rings (computed on integer lifts).  Both inputs zero yields (0, 0, 0).
-    The identity is re-verified before returning.
+    rings (prime fields included), computed on integer lifts there and then
+    scaled by the least unit u with u*d = gcd(d, n).  Both inputs zero
+    yields (0, 0, 0).  The identity is re-verified before returning.
     """
     ring = a.ring
     ring._own(b)
-    ops = EuclideanOps(IntegerRing() if isinstance(ring, ModularRing) else ring)
-    dd, ss, tt = out = tuple(ring.make(x) for x in ops.egcd(a.payload, b.payload))
+    modular = isinstance(ring, ModularRing)
+    ops = EuclideanOps(IntegerRing() if modular else ring)
+    d, s, t = ops.egcd(a.payload, b.payload)
+    if modular:
+        u = _canonical_unit_mod(d, ring.modulus)
+        d, s, t = u * d, u * s, u * t
+    dd, ss, tt = out = (ring.make(d), ring.make(s), ring.make(t))
     if ss * a + tt * b != dd:
         raise AssertionError("internal Bezout identity check failed")
     return out

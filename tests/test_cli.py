@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ringlab.cli
 import ringlab.matrices
 import ringlab.modules
 from ringlab import (
@@ -291,6 +293,43 @@ def test_check_cancellation(capsys):
     assert code == 0
     assert "pairs_checked=256" in out
     assert "holds" in out
+
+
+# 4^4 = 256 and 3^4 = 81 ordered pairs: a budget of exactly that many runs
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ("--generators", "2", "--unit", "1,1", "--max-entry", "3"),
+            "monoid=free(2)\nunit=1,1\npairs_checked=256\n"
+            "cancellation=holds over 256 pairs\n",
+        ),
+        (
+            (
+                "--monoid", '{"generators": 2, "relations": [[[2, 0], [0, 1]]]}',
+                "--unit", "1,0", "--max-entry", "2",
+            ),
+            'monoid={"generators":2,"relations":[[[2,0],[0,1]]]}\nunit=1,0\n'
+            "pairs_checked=81\ncancellation=holds over 81 pairs\n",
+        ),
+    ],
+)
+def test_check_cancellation_keeps_its_output_within_the_budget(capsys, monkeypatch, argv, out):
+    pairs = re.search(r"pairs_checked=(\d+)", out).group(1)
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", pairs)
+    assert run(capsys, "check-cancellation", *argv) == (0, out)
+
+
+def test_check_cancellation_budget_is_checked_before_enumerating(capsys, monkeypatch):
+    # 6^3 candidates give 6^6 = 46,656 ordered pairs
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "1000")
+    monkeypatch.setattr(
+        ringlab.cli, "cancellation_law_check", lambda *args: pytest.fail("enumerated")
+    )
+    assert run(
+        capsys, "check-cancellation", "--generators", "3", "--unit", "1,1,1",
+        "--max-entry", "5",
+    ) == (2, "exhausted: 46656 candidate pairs exceed the search budget 1000\n")
 
 
 def test_check_cancellation_needs_monoid(capsys):
@@ -621,6 +660,26 @@ def test_counterexample_ex31(capsys):
     assert code == 0
     assert "verdict=not-principal-up-to bound=2" in out
     assert "bounded evidence" in out
+
+
+def _ex31_output(degree, examined):
+    return (
+        f"instance=poly(modular(4), bound={degree}) ideal=(2, X) degree<={degree}\n"
+        f"verdict=not-principal-up-to bound={degree}\n"
+        f"candidates_examined={examined}\n"
+        f"note: no single generator of degree <= {degree}"
+        f" ({examined} candidates examined; bounded evidence, not a proof)\n"
+    )
+
+
+# the members of (2, X) of degree <= d, minus zero: 2 * 4^d - 1; degree 4
+# has 512^2 cofactor combinations, past the default budget
+@pytest.mark.parametrize("degree, examined", [(1, 7), (2, 31), (3, 127), (4, 511)])
+def test_counterexample_ex31_output_at_each_degree(capsys, monkeypatch, degree, examined):
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "2000000")
+    assert run(capsys, "counterexample", "ex31", "--degree", str(degree)) == (
+        0, _ex31_output(degree, examined)
+    )
 
 
 def test_counterexample_ex31_default_degree(capsys):

@@ -64,6 +64,16 @@ def test_two_generator_principal_ideal_finds_common_factor():
     assert total == verdict.generator
 
 
+def test_principal_witness_of_2_2x_is_recorded():
+    # 2 = 2*1 + 2X*0 and 2X = 2*X: the whole witness, not only its checks
+    two, two_x = Z4X.make(2), Z4X.make([0, 2])
+    for bound in (1, 2, 3):
+        verdict = bounded_principality_check([two, two_x], bound)
+        assert verdict == PrincipalWitness(
+            Z4X.make(2), (Z4X.make(1), Z4X.gen()), (Z4X.make(1), Z4X.zero())
+        )
+
+
 def test_principality_validates_inputs():
     with pytest.raises(ValueError):
         bounded_principality_check([], 2)

@@ -29,6 +29,7 @@ from ringlab import (
     primitive_idempotent_decomposition,
     try_inverse,
 )
+from ringlab.rings import Ring
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -306,12 +307,31 @@ def test_bezout_matches_the_reference_loop_over_the_integers(a, b):
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_bezout_over_modular_rings_is_the_integer_loop_mod_n(n):
+    # the integer loop's triple mod n, scaled by the least unit u of Z/n
+    # with u * d = gcd(d, n)
     ring = ModularRing(n)
     for a in range(n):
         for b in range(n):
-            d, s, t = _reference_int_egcd(a, b)
+            d, s, t = (v % n for v in _reference_int_egcd(a, b))
+            u = next(
+                u for u in range(1, n)
+                if math.gcd(u, n) == 1 and u * d % n == math.gcd(d, n) % n
+            )
             got = _payloads(bezout_gcd(ring.make(a), ring.make(b)))
-            assert got == (d % n, s % n, t % n), (a, b)
+            assert got == (u * d % n, u * s % n, u * t % n), (a, b)
+
+
+def test_bezout_over_modular_rings_is_canonical():
+    # d is gcd(a, b, n) mod n, the canonical generator of the ideal (a, b)
+    for n in range(2, 31):
+        ring = ModularRing(n)
+        for a in range(n):
+            for b in range(n):
+                d, s, t = bezout_gcd(ring.make(a), ring.make(b))
+                assert d.payload == math.gcd(a, b, n) % n, (n, a, b)
+                assert s * ring.make(a) + t * ring.make(b) == d, (n, a, b)
+    assert _payloads(bezout_gcd(F5.make(3), F5.make(0))) == (1, 2, 0)
+    assert _payloads(bezout_gcd(Z6.make(4), Z6.make(0))) == (2, 5, 0)
 
 
 _coefficients = st.lists(st.integers(0, 6), max_size=7)
@@ -670,3 +690,114 @@ def test_dot_matches_the_sum_of_plain_products(data):
     # a single product is the one-pair case
     if xs:
         assert ring._mul(xs[0], ys[0]) == plain_dot(xs[:1], ys[:1])
+
+
+# ---------------------------------------------------------------------------
+# the payload batch product against per-element products
+
+
+def _per_element_scale(ring, x, ys, z):
+    return [ring._add(z, ring._mul(x, y)) for y in ys]
+
+
+@st.composite
+def modular_scale_operands(draw):
+    n = draw(st.integers(2, 17))
+    coeffs = st.integers(0, n - 1)
+
+    def poly(max_size):
+        # the zero polynomial, or a body and any nonzero (even zero-divisor) lead
+        return draw(
+            st.one_of(
+                st.just(()),
+                st.tuples(
+                    st.lists(coeffs, max_size=max_size), st.integers(1, n - 1)
+                ).map(lambda t: tuple(t[0]) + (t[1],)),
+            )
+        )
+
+    x = poly(8)
+    ys = [poly(8) for _ in range(draw(st.integers(0, 6)))]
+    z = poly(20)
+    return n, x, ys, z
+
+
+def _full(n, length):
+    return (n - 1,) * length
+
+
+@given(modular_scale_operands())
+@example((4, (), [(1, 2), ()], (3,)))  # an empty x
+@example((5, (1, 2), [], (1,)))  # no ys
+@example((4, (2,), [(2,), (0, 2), ()], ()))  # 2 * 2 = 0: products trim to zero
+@example((3, (0, 1), [(0, 0, 2)], (1, 0, 0, 0, 0, 0, 0, 2)))  # z longer than the products
+@example((4, (1, 2), [(3, 2)], (0, 0, 1)))  # z's sum trims the product's lead
+@example((16, (15,), [(15, 15), (15,)], (15,)))  # 225 + 15 = 240 fits a byte
+@example((16, (15, 15), [(15, 15)], (15,)))  # 2 * 225 + 15 does not
+@example((17, (16,), [(16,)], (16,)))  # 256 + 16 never fits
+@example((4, _full(4, 28), [_full(4, 28)], _full(4, 55)))  # 28 * 9 + 3 = 255
+@example((4, _full(4, 29), [_full(4, 29)], _full(4, 57)))  # 29 * 9 + 3 = 264
+@example((2, _full(2, 254), [_full(2, 254)], _full(2, 507)))  # 254 + 1 = 255
+@example((2, _full(2, 255), [_full(2, 255)], _full(2, 509)))  # 255 + 1 = 256
+@example((6, _full(6, 10), [_full(6, 10), (), (5,)], _full(6, 19)))  # 10 * 25 + 5 = 255
+def test_modular_scale_matches_per_element_products(data):
+    n, x, ys, z = data
+    ring = PolynomialRing(ModularRing(n))
+    assert ring._scale(x, ys, z) == _per_element_scale(ring, x, ys, z)
+    assert ring._scale(x, ys) == _per_element_scale(ring, x, ys, ())
+
+
+@pytest.mark.parametrize(
+    "n, length, packed",
+    [(4, 28, True), (4, 29, False), (2, 254, True), (2, 255, False), (17, 1, False)],
+)
+def test_modular_scale_packs_exactly_when_no_slot_passes_255(monkeypatch, n, length, packed):
+    ring = PolynomialRing(ModularRing(n))
+    calls = []
+    loop = Ring._scale
+
+    def counted(self, *args):
+        calls.append(args)
+        return loop(self, *args)
+
+    monkeypatch.setattr(Ring, "_scale", counted)
+    full = _full(n, length)
+    assert ring._scale(full, [full], (n - 1,)) == _per_element_scale(ring, full, [full], (n - 1,))
+    assert (not calls) == packed
+
+
+def _raw_payloads(ring, raw):
+    return raw.map(lambda value: ring.make(value).payload)
+
+
+_small = st.integers(-30, 30)
+# rings whose _scale is the base loop: the payloads are drawn as literals and
+# canonicalized by the ring
+BASE_SCALE_RINGS = {
+    "integers": st.integers(-(2**70), 2**70),
+    "modular(12)": _small,
+    "poly2(gf(3), bound=2)": st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), _small), max_size=5
+    ),
+    "poly(integers)": st.lists(_small, max_size=5),
+    "poly(trivial(modular(3)))": st.lists(st.tuples(_small, _small), max_size=4),
+}
+
+
+@st.composite
+def base_scale_operands(draw):
+    name = draw(st.sampled_from(sorted(BASE_SCALE_RINGS)))
+    ring = parse_ring(name)
+    payloads = _raw_payloads(ring, BASE_SCALE_RINGS[name])
+    return name, draw(payloads), draw(st.lists(payloads, max_size=5)), draw(payloads)
+
+
+@given(base_scale_operands())
+@example(("integers", 0, [], 5))
+@example(("poly(integers)", (), [(1, 2)], (3,)))
+@example(("poly2(gf(3), bound=2)", (((1, 0), 1),), [(((0, 1), 2),), ()], ()))
+def test_base_scale_matches_per_element_products(data):
+    name, x, ys, z = data
+    ring = parse_ring(name)
+    assert ring._scale(x, ys, z) == _per_element_scale(ring, x, ys, z)
+    assert ring._scale(x, ys) == _per_element_scale(ring, x, ys, ring._zero())
