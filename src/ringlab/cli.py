@@ -11,12 +11,17 @@ an answer was reached, 3 for input errors, 4 when an internal consistency
 check failed (a bug in ringlab; the message and the arguments are printed).
 Output is line oriented with a stable field order and is byte-identical
 across runs of the same request.
+
+``main`` parses with one parser per process, built on first use.  Handlers
+and reducers are stored in it by name and looked up in this module when a
+command runs, so rebinding a module global here still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -127,7 +132,7 @@ def _presentation_from_args(args: argparse.Namespace) -> MonoidPresentation:
 
 def _cmd_reduction(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
-    reduction = args.reducer(matrix)
+    reduction = globals()[args.reducer](matrix)
     return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
 
 
@@ -312,20 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # handlers and reducers by name, so that a later rebinding is seen
     for name, reducer, text in (
-        ("snf", smith_normal_form, "Smith normal form over integers or gf(p)[X]"),
-        ("reduce", reduce_matrix, "diagonal reduction (modular rings included)"),
+        ("snf", "smith_normal_form", "Smith normal form over integers or gf(p)[X]"),
+        ("reduce", "reduce_matrix", "diagonal reduction (modular rings included)"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--input", default="-", help="matrix JSON file, - for stdin")
         p.add_argument("--emit-witness", action="store_true")
-        p.set_defaults(func=_cmd_reduction, reducer=reducer)
+        p.set_defaults(func="_cmd_reduction", reducer=reducer)
 
     p = sub.add_parser("bezout", help="extended gcd with verified identity")
     p.add_argument("--ring", default="integers")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_bezout)
+    p.set_defaults(func="_cmd_bezout")
 
     p = sub.add_parser("refine", help="2x2 refinement grid for x1+x2 = y1+y2")
     group = p.add_mutually_exclusive_group(required=True)
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x2")
     p.add_argument("y1")
     p.add_argument("y2")
-    p.set_defaults(func=_cmd_refine)
+    p.set_defaults(func="_cmd_refine")
 
     p = sub.add_parser("check-cancellation", help="2u+A = u+B implies u+A = B")
     group = p.add_mutually_exclusive_group(required=True)
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", required=True, help="exponents of u, comma separated")
     p.add_argument("--max-entry", type=int, default=3)
     p.add_argument("--bound", type=int, default=8)
-    p.set_defaults(func=_cmd_check_cancellation)
+    p.set_defaults(func="_cmd_check_cancellation")
 
     p = sub.add_parser("localize", help="localize a projective module")
     p.add_argument("--ring", required=True)
@@ -353,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--at-element", help="ring element literal")
     group.add_argument("--at-maximal", type=int, help="maximal ideal index")
-    p.set_defaults(func=_cmd_localize)
+    p.set_defaults(func="_cmd_localize")
 
     p = sub.add_parser("iso", help="projective module isomorphism")
     p.add_argument("--ring", required=True)
     p.add_argument("--left", required=True, help="multiplicities, comma separated")
     p.add_argument("--right", required=True, help="multiplicities, comma separated")
-    p.set_defaults(func=_cmd_iso)
+    p.set_defaults(func="_cmd_iso")
 
     p = sub.add_parser("verify", help="theorem suite over one modular ring")
     p.add_argument("--ring", required=True)
@@ -368,33 +374,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--generators",
         help="comma-separated elements for the partition-of-unity check",
     )
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func="_cmd_verify")
 
     p = sub.add_parser("counterexample", help="bounded refutation searches")
     instances = p.add_subparsers(dest="instance", required=True)
     p = instances.add_parser("ex31", help="(2, X) in Z/4[X]")
     p.add_argument("--degree", type=int, default=3)
-    p.set_defaults(func=_cmd_ex31)
+    p.set_defaults(func="_cmd_ex31")
     p = instances.add_parser("ex33", help="(X, Y) in gf(p)[X, Y]")
     p.add_argument("--p", type=int, default=2, help="prime of the coefficients")
     p.add_argument("--degree", type=int, default=2)
-    p.set_defaults(func=_cmd_ex33)
+    p.set_defaults(func="_cmd_ex33")
     p = instances.add_parser("ex34", help="the row (2, e) over a trivial extension")
     p.add_argument("--height", type=int, default=2, help="entry height")
-    p.set_defaults(func=_cmd_ex34)
+    p.set_defaults(func="_cmd_ex34")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves no state
+    in it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; that slot means "bound exhausted" here
         return PASS if exc.code in (0, None) else INPUT_ERROR
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except BudgetExceeded as exc:
         print(f"exhausted: {exc}")
         return EXHAUSTED

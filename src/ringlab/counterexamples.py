@@ -109,11 +109,13 @@ def bounded_principality_check(
     is the one the full scan would accept, and only it scans B in candidate
     order for its cofactors, so the witnesses are still the first ones.
 
-    Every product runs through the batch kernel ``Ring._scale``: one call
+    Every product runs through the batch kernel ``Ring._scaler``, built once
+    per call for each fixed operand list (the candidates, T and L): one call
     per row of the member table, and per member g one for the images g * T
     and one per f for the shifted set f + g * L, which must meet the images
-    (``set.isdisjoint``).  Over Z/n[X] each call is one big-int product, so
-    a member costs at most 1 + len(generators) products and no polynomial
+    (``set.isdisjoint``).  Over Z/n[X] each scaler packs its list once and
+    each call is one big-int product, so a member costs at most
+    1 + len(generators) products, no packing of T or L and no polynomial
     sum.  Returns a verified PrincipalWitness or NotPrincipalUpTo."""
     if not generators:
         raise ValueError("need at least one ideal generator")
@@ -136,15 +138,16 @@ def bounded_principality_check(
             f"{combo_count} cofactor combinations exceed the search budget {cap}"
         )
     candidates = [h.payload for h in enumerate_up_to(bound)]
-    add, mul, scale, zero = ring._add, ring._mul, ring._scale, ring._zero()
+    add, mul, zero = ring._add, ring._mul, ring._zero()
     targets = [f.payload for f in generators]
     # Row i maps each distinct product f_i * h to the index of its first h.
     # A lexicographically first combination for a sum uses first indices
     # only, and its prefixes are first combinations too.
     rows = []
+    by_candidates = ring._scaler(candidates)
     for f in targets:
         first: dict = {}
-        for i, product in enumerate(scale(f, candidates)):
+        for i, product in enumerate(by_candidates(f)):
             first.setdefault(product, i)
         rows.append(first.items())
     # Close the table over one row H at a time, walking the partial sums s
@@ -174,14 +177,15 @@ def bounded_principality_check(
         raise AssertionError(
             "the cofactor box does not split into cosets; this is a bug"
         )
+    by_reps, by_low = ring._scaler(reps), ring._scaler(low)
     examined = 0
     for g in candidates:
         if g == zero or g not in members:
             continue
         examined += 1
         # L = -L, so f - g*l over l in L is f + g*l over l in L
-        images = set(scale(g, reps))
-        if any(images.isdisjoint(scale(g, low, f)) for f in targets):
+        images = set(by_reps(g))
+        if any(images.isdisjoint(by_low(g, f)) for f in targets):
             continue
         generator = RingElement(ring, g)
         # a cofactor the scan misses (a bug) falls back to zero, which the

@@ -657,6 +657,8 @@ def matrix_from_document(doc: dict) -> RingMatrix:
     for key in ("ring", "rows", "cols", "entries"):
         if key not in doc:
             raise ValueError(f"matrix document is missing {key!r}")
+    if not isinstance(doc["ring"], str):
+        raise ValueError("ring must be a descriptor string")
     ring = parse_ring(doc["ring"])
     rows, cols = doc["rows"], doc["cols"]
     if any(not isinstance(v, int) or isinstance(v, bool) for v in (rows, cols)):

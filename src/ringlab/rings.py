@@ -24,14 +24,15 @@ coefficient, so no slot overflows into the next; the packed products are
 summed, and the sum is unpacked once, each coefficient reduced mod n and the
 result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
-The batch kernel ``_scale(x, ys, z)`` returns ``[z + x*y for y in ys]``,
-for the searches that multiply one payload by many.  The base class loops
-over the pairs.  Polynomials over Z/n override it when no coefficient of
-``x*y + z`` can pass 255, that is when ``min(len(x), longest y) * (n-1)**2
-+ (n-1) <= 255``: every y gets its own run of one-byte slots in one int,
-one big-int product by x (plus z packed into every run) gives all the
-results, ``bytes.translate`` reduces every slot mod n, and the runs are cut
-apart and trimmed with ``rstrip``.  Otherwise it falls back to the loop.
+The batch kernel ``_scaler(ys)`` returns ``f(x, z=None)``, which gives
+``[z + x*y for y in ys]``, for the searches that multiply many payloads by
+the same ys.  The base class loops over the pairs.  Polynomials over Z/n
+pack the ys once per run size: every y gets its own run of one-byte slots
+in one int, so one big-int product by x (plus z packed into every run)
+gives all the results, ``bytes.translate`` reduces every slot mod n, and
+the runs are cut apart and trimmed with ``rstrip``.  That holds while no
+coefficient of ``x*y + z`` can pass 255, that is while ``min(len(x),
+longest y) * (n-1)**2 + (n-1) <= 255``; past it f falls back to the loop.
 
 ``EuclideanOps`` is the one Euclidean interface, for the integers and
 polynomials over a prime field.  It binds four ring-specific payload
@@ -139,13 +140,17 @@ class Ring:
             acc = add(acc, mul(x, y))
         return acc
 
-    def _scale(self, x: Any, ys: Sequence[Any], z: Any = None) -> list:
-        """``[z + x*y for y in ys]`` on payloads (z zero when None)."""
-        mul = self._mul
-        if z is None:
-            return [mul(x, y) for y in ys]
-        add = self._add
-        return [add(z, mul(x, y)) for y in ys]
+    def _scaler(self, ys: Sequence[Any]) -> Callable[..., list]:
+        """``f(x, z=None) -> [z + x*y for y in ys]`` on payloads (z zero when
+        None), for many x against the same ys."""
+        add, mul = self._add, self._mul
+
+        def scale(x: Any, z: Any = None) -> list:
+            if z is None:
+                return [mul(x, y) for y in ys]
+            return [add(z, mul(x, y)) for y in ys]
+
+        return scale
 
     def _payload_literal(self, x: Any) -> Any:
         return x
@@ -439,20 +444,30 @@ class PolynomialRing(Ring):
         width = (count * (n - 1) ** 2).bit_length()
         return _unpack(sum(_pack(x, width) * _pack(y, width) for x, y in pairs), width, n)
 
-    def _scale(self, x: tuple, ys: Sequence[tuple], z: tuple | None = None) -> list:
+    def _scaler(self, ys: Sequence[tuple]) -> Callable[..., list]:
         n = self._modulus
+        loop = super()._scaler(ys)
+        if n is None:
+            return loop
         longest = max(map(len, ys), default=0)
-        if n is None or min(len(x), longest) * (n - 1) ** 2 + (n - 1) > 255:
-            return super()._scale(x, ys, z)
-        # one byte per coefficient, a run of `size` bytes per y: no slot of
-        # x*y + z passes 255, so the runs come apart without carries
-        tail = bytes(z or ())
-        size = max(len(x) + longest - 1, len(tail), 1)
-        packed = int.from_bytes(b"".join([bytes(y).ljust(size, b"\0") for y in ys]), "little")
-        shift = int.from_bytes(tail.ljust(size, b"\0") * len(ys), "little")
-        total = packed * int.from_bytes(bytes(x), "little") + shift
-        out = total.to_bytes(size * len(ys), "little").translate(_residue_table(n))
-        return [tuple(out[i:i + size].rstrip(b"\0")) for i in range(0, len(out), size)]
+        packed: dict = {}  # run size -> the ys packed in runs of that size
+
+        def scale(x: tuple, z: tuple | None = None) -> list:
+            if min(len(x), longest) * (n - 1) ** 2 + (n - 1) > 255:
+                return loop(x, z)
+            # one byte per coefficient, a run of `size` bytes per y: no slot
+            # of x*y + z passes 255, so the runs come apart without carries
+            tail = bytes(z or ())
+            size = max(len(x) + longest - 1, len(tail), 1)
+            if size not in packed:
+                runs = b"".join([bytes(y).ljust(size, b"\0") for y in ys])
+                packed[size] = int.from_bytes(runs, "little")
+            shift = int.from_bytes(tail.ljust(size, b"\0") * len(ys), "little")
+            total = packed[size] * int.from_bytes(bytes(x), "little") + shift
+            out = total.to_bytes(size * len(ys), "little").translate(_residue_table(n))
+            return [tuple(out[i:i + size].rstrip(b"\0")) for i in range(0, len(out), size)]
+
+        return scale
 
     def _zero(self) -> tuple:
         return ()
@@ -582,9 +597,9 @@ def _unpack(packed: int, width: int, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _residue_table(n: int) -> bytes:
-    """The ``bytes.translate`` table taking each byte to its residue mod n.
-    Only moduli up to 16 pass the one-byte guard of ``_scale``, so the cache
-    holds at most 15 tables."""
+    """The ``bytes.translate`` table taking each byte to its residue mod n,
+    for the moduli that pass the one-byte guard of ``_scaler``: up to 16, or
+    up to 256 when a factor is zero."""
     return bytes(i % n for i in range(256))
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: goldens, exit codes, and output stability."""
 
+import argparse
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -81,6 +83,16 @@ def test_snf_rejects_a_boolean_shape(capsys, monkeypatch):
     code, out = run(capsys, "snf")
     assert code == 3
     assert out == "input error: rows and cols must be integers\n"
+
+
+@pytest.mark.parametrize("command", ["snf", "reduce"])
+@pytest.mark.parametrize("ring", [5, None])
+def test_reduction_commands_reject_a_ring_that_is_not_a_string(capsys, monkeypatch, command, ring):
+    text = json.dumps({"ring": ring, "rows": 1, "cols": 1, "entries": [1]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out = run(capsys, command)
+    assert code == 3
+    assert out == "input error: ring must be a descriptor string\n"
 
 
 def test_snf_rejects_missing_file(tmp_path, capsys):
@@ -777,6 +789,61 @@ def test_unknown_subcommand_is_input_error(capsys):
 
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+CLI_SUITE = ("verify_modular12", "verify_modular30", "ex31", "ex33", "ex34")
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    def suite():
+        return [run(capsys, *GOLDENS[name]["argv"]) for name in CLI_SUITE]
+
+    first = suite()
+    assert run(capsys, "counterexample", "ex34", "--degree", "5") == (3, "")
+    assert suite() == first
+    assert first == [(GOLDENS[name]["exit"], GOLDENS[name]["stdout"]) for name in CLI_SUITE]
+
+
+def test_main_builds_at_most_one_parser_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert ringlab.cli.build_parser() is not ringlab.cli.build_parser()
+    tree = len(built) // 2
+    built.clear()
+    assert run(capsys, "counterexample", "ex31", "--degree", "1")[0] == 0
+    assert run(capsys, "counterexample", "ex34", "--degree", "5")[0] == 3
+    assert run(capsys, "bezout", "4", "6")[0] == 0
+    assert tree > 1
+    assert len(built) <= tree
+
+
+def test_snf_looks_its_reducer_up_at_call_time(capsys, monkeypatch):
+    doc = json.dumps({"ring": "integers", "rows": 1, "cols": 1, "entries": [6]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "snf")[0] == 0
+    original = ringlab.cli.smith_normal_form
+    seen = []
+
+    def patched(matrix):
+        seen.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr("ringlab.cli.smith_normal_form", patched)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out = run(capsys, "snf")
+    assert code == 0
+    assert json.loads(out)["diagonal"] == [6]
+    assert len(seen) == 1
 
 
 def test_module_entry_point_runs():

@@ -743,8 +743,9 @@ def _full(n, length):
 def test_modular_scale_matches_per_element_products(data):
     n, x, ys, z = data
     ring = PolynomialRing(ModularRing(n))
-    assert ring._scale(x, ys, z) == _per_element_scale(ring, x, ys, z)
-    assert ring._scale(x, ys) == _per_element_scale(ring, x, ys, ())
+    scale = ring._scaler(ys)
+    assert scale(x, z) == _per_element_scale(ring, x, ys, z)
+    assert scale(x) == _per_element_scale(ring, x, ys, ())
 
 
 @pytest.mark.parametrize(
@@ -753,17 +754,60 @@ def test_modular_scale_matches_per_element_products(data):
 )
 def test_modular_scale_packs_exactly_when_no_slot_passes_255(monkeypatch, n, length, packed):
     ring = PolynomialRing(ModularRing(n))
-    calls = []
-    loop = Ring._scale
-
-    def counted(self, *args):
-        calls.append(args)
-        return loop(self, *args)
-
-    monkeypatch.setattr(Ring, "_scale", counted)
+    calls = _count_base_loop_calls(monkeypatch)
     full = _full(n, length)
-    assert ring._scale(full, [full], (n - 1,)) == _per_element_scale(ring, full, [full], (n - 1,))
+    scale = ring._scaler([full])
+    assert scale(full, (n - 1,)) == _per_element_scale(ring, full, [full], (n - 1,))
     assert (not calls) == packed
+
+
+def _count_base_loop_calls(monkeypatch) -> list:
+    """Patch the base-class scaler so that every call of a loop it returns
+    is recorded in the returned list."""
+    calls = []
+    loop = Ring._scaler
+
+    def counted(self, ys):
+        scale = loop(self, ys)
+
+        def recorded(*args):
+            calls.append(args)
+            return scale(*args)
+
+        return recorded
+
+    monkeypatch.setattr(Ring, "_scaler", counted)
+    return calls
+
+
+# one scaler, x of several lengths: (length of x, length of z, packed?) over
+# Z/4 with ys up to 29 coefficients long, where a slot holds
+# min(len(x), 29) * 9 + 3 <= 255 exactly when len(x) <= 28
+_SCALER_CALLS = (
+    (1, 0, True),  # runs of 29 bytes
+    (3, 0, True),  # runs of 31: a second packing
+    (28, 1, True),  # runs of 56, at the 255 boundary
+    (29, 1, False),  # 29 * 9 + 3 = 264: the base loop
+    (3, 40, True),  # z sets the run size, 40
+    (3, 0, True),  # runs of 31 again, packed before
+    (40, 2, False),
+    (1, 0, True),
+)
+
+
+def test_one_modular_scaler_serves_x_of_every_length(monkeypatch):
+    ring = PolynomialRing(ModularRing(4))
+    ys = [_full(4, 29), (), (2,), (1, 0, 3), (0,) * 20 + (2,), _full(4, 7)]
+    reference = Ring._scaler(ring, ys)
+    calls = _count_base_loop_calls(monkeypatch)
+    scale = ring._scaler(ys)
+    for i, (length, tail, packed) in enumerate(_SCALER_CALLS):
+        x = tuple((i + j) % 4 for j in range(length - 1)) + (3,)
+        z = _full(4, tail)
+        before = len(calls)
+        assert scale(x, z) == reference(x, z)
+        assert scale(x) == reference(x)
+        assert (len(calls) == before) == packed
 
 
 def _raw_payloads(ring, raw):
@@ -771,7 +815,7 @@ def _raw_payloads(ring, raw):
 
 
 _small = st.integers(-30, 30)
-# rings whose _scale is the base loop: the payloads are drawn as literals and
+# rings whose _scaler is the base loop: the payloads are drawn as literals and
 # canonicalized by the ring
 BASE_SCALE_RINGS = {
     "integers": st.integers(-(2**70), 2**70),
@@ -799,5 +843,6 @@ def base_scale_operands(draw):
 def test_base_scale_matches_per_element_products(data):
     name, x, ys, z = data
     ring = parse_ring(name)
-    assert ring._scale(x, ys, z) == _per_element_scale(ring, x, ys, z)
-    assert ring._scale(x, ys) == _per_element_scale(ring, x, ys, ring._zero())
+    scale = ring._scaler(ys)
+    assert scale(x, z) == _per_element_scale(ring, x, ys, z)
+    assert scale(x) == _per_element_scale(ring, x, ys, ring._zero())
