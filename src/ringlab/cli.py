@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import sys
 from typing import Iterator, Optional, Sequence
@@ -32,7 +31,7 @@ from .counterexamples import (
     bounded_principality_check,
     trivial_extension_hermite_search,
 )
-from .errors import BudgetExceeded, search_budget
+from .errors import BudgetExceeded
 from .matrices import (
     RingMatrix,
     matrix_from_document,
@@ -43,6 +42,7 @@ from .matrices import (
 from .monoids import (
     EqResult,
     MonoidPresentation,
+    cancellation_candidates,
     cancellation_law_check,
     normalize_and_eq,
     refine,
@@ -71,8 +71,8 @@ PASS, VIOLATION, EXHAUSTED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 @contextlib.contextmanager
 def _unlimited_int_digits() -> Iterator[None]:
     """Lift the interpreter's cap on int <-> str conversion (Python 3.11+)
-    for the duration of the block, so matrices and witnesses of any size
-    can be read and printed."""
+    for the duration of the block, so operands, matrices and witnesses of
+    any size can be read and printed."""
     setter = getattr(sys, "set_int_max_str_digits", None)
     if setter is None:
         yield
@@ -92,17 +92,10 @@ def _read_matrix(path: str) -> RingMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        with _unlimited_int_digits():
-            doc = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix input is not valid JSON: {exc}") from exc
     return matrix_from_document(doc)
-
-
-def _print_reduction(doc: dict) -> int:
-    with _unlimited_int_digits():
-        print(json.dumps(doc, indent=2))
-    return PASS if doc["verified"] else VIOLATION
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -133,7 +126,9 @@ def _presentation_from_args(args: argparse.Namespace) -> MonoidPresentation:
 def _cmd_reduction(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     reduction = globals()[args.reducer](matrix)
-    return _print_reduction(reduction_to_document(matrix, reduction, args.emit_witness))
+    doc = reduction_to_document(matrix, reduction, args.emit_witness)
+    print(json.dumps(doc, indent=2))
+    return PASS if doc["verified"] else VIOLATION
 
 
 def _cmd_bezout(args: argparse.Namespace) -> int:
@@ -183,15 +178,7 @@ def _cmd_check_cancellation(args: argparse.Namespace) -> int:
         raise ValueError("--max-entry must be nonnegative")
     pres = _presentation_from_args(args)
     unit = pres.element(_parse_exponents(args.unit))
-    k = pres.generator_count
-    pairs = (args.max_entry + 1) ** (2 * k)
-    cap = search_budget()
-    if pairs > cap:
-        raise BudgetExceeded(f"{pairs} candidate pairs exceed the search budget {cap}")
-    candidates = [
-        pres.element(v)
-        for v in itertools.product(range(args.max_entry + 1), repeat=k)
-    ]
+    candidates = cancellation_candidates(pres, args.max_entry)
     report = cancellation_law_check(unit, candidates, args.bound)
     print(f"monoid={pres.describe()}")
     print(f"unit={','.join(map(str, unit.exponents))}")
@@ -406,7 +393,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on bad usage; that slot means "bound exhausted" here
         return PASS if exc.code in (0, None) else INPUT_ERROR
     try:
-        return globals()[args.func](args)
+        with _unlimited_int_digits():
+            return globals()[args.func](args)
     except BudgetExceeded as exc:
         print(f"exhausted: {exc}")
         return EXHAUSTED

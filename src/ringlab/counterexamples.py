@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, UnsupportedRing, search_budget
+from .errors import UnsupportedRing, check_search_budget
 from .matrices import RingMatrix
 from .rings import (
     BivariatePolynomialRing,
@@ -131,12 +131,7 @@ def bounded_principality_check(
                 f"generator {f.literal()} exceeds the degree bound {bound}"
             )
     size = box_size(bound)
-    combo_count = size ** len(generators)
-    cap = search_budget(budget)
-    if combo_count > cap:
-        raise BudgetExceeded(
-            f"{combo_count} cofactor combinations exceed the search budget {cap}"
-        )
+    check_search_budget(size ** len(generators), "cofactor combinations", budget)
     candidates = [h.payload for h in enumerate_up_to(bound)]
     add, mul, zero = ring._add, ring._mul, ring._zero()
     targets = [f.payload for f in generators]
@@ -262,12 +257,7 @@ def trivial_extension_hermite_search(
         raise ValueError("the search expects a 1x2 row")
     if height < 1:
         raise ValueError("height must be positive")
-    total = (2 * height + 1) ** 8
-    cap = search_budget()
-    if total > cap:
-        raise BudgetExceeded(
-            f"{total} column pairs exceed the search budget {cap}"
-        )
+    check_search_budget((2 * height + 1) ** 8, "column pairs")
     span = range(-height, height + 1)
     entries = [(a, b) for a in span for b in span]
     columns = list(itertools.product(entries, repeat=2))

@@ -1,11 +1,19 @@
-"""Shared exception types and search-budget configuration.
+"""Shared exception types and the two budgets that bound every search.
 
-Exhaustive searches in this package are always bounded.  Two budgets exist:
-a cap on finite-ring enumeration (``element_budget``) and a cap on candidate
-searches such as homomorphism or generator hunts (``search_budget``).  The
-search budget can be raised globally through the ``RINGLAB_SEARCH_BUDGET``
-environment variable; hitting either budget raises :class:`BudgetExceeded`
-instead of silently returning a weaker answer.
+Exhaustive searches in this package are always bounded, and every refusal
+goes through :func:`check_element_budget` or :func:`check_search_budget`.
+A search counts its whole box before it enumerates or builds anything; the
+helper raises :class:`BudgetExceeded` ("{count} {what} exceed the search
+budget {cap}") when the count passes the cap, an inconclusive outcome,
+never a negative one.  The element budget counts ring elements
+(``Ring.elements``) and the carrier points of ``free_module``,
+``to_finite_module`` and ``kernel_image_cokernel``.  The search budget,
+which ``RINGLAB_SEARCH_BUDGET`` sets for the process, counts cofactor
+combinations and column pairs (the counterexample searches), candidate
+matrices (brute-force regularity), candidate generator images
+(``find_module_isomorphism``), and the module pairs, candidate pairs, unit
+combinations and small matrices of ``verify`` and ``check-cancellation``.
+A caller's ``budget=`` replaces either cap for one call.
 """
 
 from __future__ import annotations
@@ -61,3 +69,17 @@ def search_budget(override: int | None = None) -> int:
             raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_SEARCH_BUDGET
+
+
+def check_element_budget(count: int, what: str, budget: int | None = None) -> None:
+    """Refuse to enumerate ``count`` ``what`` past the element budget."""
+    cap = element_budget(budget)
+    if count > cap:
+        raise BudgetExceeded(f"{count} {what} exceed the element budget {cap}")
+
+
+def check_search_budget(count: int, what: str, budget: int | None = None) -> None:
+    """Refuse a search over ``count`` ``what`` past the search budget."""
+    cap = search_budget(budget)
+    if count > cap:
+        raise BudgetExceeded(f"{count} {what} exceed the search budget {cap}")

@@ -60,7 +60,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, MismatchedRings, UnsupportedRing, search_budget
+from .errors import MismatchedRings, UnsupportedRing, check_search_budget
 from .rings import (
     EuclideanOps,
     IntegerRing,
@@ -583,12 +583,7 @@ def _brute_regularity(f: RingMatrix) -> Optional[RingMatrix]:
         raise UnsupportedRing("brute-force regularity needs a finite ring")
     elements = ring.elements()
     slots = f.rows * f.cols
-    count = len(elements) ** slots
-    cap = search_budget()
-    if count > cap:
-        raise BudgetExceeded(
-            f"{count} candidate matrices exceed the search budget {cap}"
-        )
+    check_search_budget(len(elements) ** slots, "candidate matrices")
     m, n = f.rows, f.cols
     fp = f.payloads
     for combo in itertools.product([e.payload for e in elements], repeat=slots):

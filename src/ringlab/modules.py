@@ -36,8 +36,9 @@ from .errors import (
     BudgetExceeded,
     MismatchedRings,
     UnsupportedRing,
+    check_element_budget,
+    check_search_budget,
     element_budget,
-    search_budget,
 )
 from .matrices import (
     RingMatrix,
@@ -46,7 +47,13 @@ from .matrices import (
     _reduction_holds,
     _regularity,
 )
-from .monoids import MonoidPresentation, cancellation_law_check, conical_check, refine
+from .monoids import (
+    MonoidPresentation,
+    cancellation_candidates,
+    cancellation_law_check,
+    conical_check,
+    refine,
+)
 from .rings import (
     CornerRing,
     IdempotentBasis,
@@ -253,9 +260,7 @@ def free_module(ring: Ring, rank: int, budget: int | None = None) -> FiniteModul
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     payloads = [e.payload for e in ring.elements()]
-    count = len(payloads) ** rank
-    if count > element_budget(budget):
-        raise BudgetExceeded(f"free module carrier of size {count} exceeds the budget")
+    check_element_budget(len(payloads) ** rank, "carrier points", budget)
     points = list(itertools.product(payloads, repeat=rank))
     zero = (ring._zero(),) * rank
     return _LibraryModule(ring, points, zero, *_tuple_rules(ring), f"R^{rank}")
@@ -376,10 +381,7 @@ def to_finite_module(
 ) -> FiniteModule:
     """Expand the multiplicity form into an explicit carrier of slot tuples."""
     ring = module.ring
-    if module.carrier_cardinality() > element_budget(budget):
-        raise BudgetExceeded(
-            f"carrier of size {module.carrier_cardinality()} exceeds the budget"
-        )
+    check_element_budget(module.carrier_cardinality(), "carrier points", budget)
     slot_domains: list[list[Any]] = []
     for e, t in zip(module.basis.elements, module.multiplicities):
         slot_domains.extend([_principal_ideal(e)] * t)
@@ -444,11 +446,7 @@ def find_module_isomorphism(
             return None
         candidates.append(options)
         total *= len(options)
-    cap = search_budget(budget)
-    if total > cap:
-        raise BudgetExceeded(
-            f"{total} candidate generator images exceed the search budget {cap}"
-        )
+    check_search_budget(total, "candidate generator images", budget)
 
     def extend(
         mapping: dict, taken: set, g: Any, image: Any
@@ -671,11 +669,7 @@ def kernel_image_cokernel(
         raise UnsupportedRing("kernel enumeration needs a finite ring")
     payloads = [e.payload for e in ring.elements()]
     size = len(payloads)
-    cap = element_budget(budget)
-    if size ** f.cols > cap or size ** f.rows > cap:
-        raise BudgetExceeded(
-            f"carrier {size}^{max(f.cols, f.rows)} exceeds the element budget {cap}"
-        )
+    check_element_budget(size ** max(f.cols, f.rows), "carrier points", budget)
     act = _matrix_action(f)
     zero_domain = (ring._zero(),) * f.cols
     zero_codomain = (ring._zero(),) * f.rows
@@ -688,7 +682,7 @@ def kernel_image_cokernel(
     image = _LibraryModule(ring, image_points, zero_codomain, add, scale, "im(f)")
     if len(kernel) * len(image) != size ** f.cols:
         raise AssertionError("|ker|*|im| != |R|^n; enumeration is broken")
-    coker = _quotient_module(free_module(ring, f.rows, cap), image_points, "coker(f)")
+    coker = _quotient_module(free_module(ring, f.rows, budget), image_points, "coker(f)")
     return kernel, image, coker
 
 
@@ -790,6 +784,7 @@ def _compare_global_and_local(
     Returns (module count, pairs checked, first disagreement or None)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    check_search_budget((bound + 1) ** (2 * len(basis)), "module pairs")
     vectors = list(itertools.product(range(bound + 1), repeat=len(basis)))
     modules = {t: ProjectiveModule(basis.ring, basis, t) for t in vectors}
     views = {t: [view(modules[t]) for view in localizers] for t in vectors}
@@ -843,6 +838,7 @@ def partition_of_unity_verify(
         raise ValueError("need at least one generator")
     for g in gens:
         ring._own(g)
+    check_search_budget(ring.cardinality() ** len(gens), "unit combinations")
     elements = ring.elements()
     one = ring.one()
     witness = None
@@ -1047,13 +1043,15 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     kernel's payload check until one fails; when J(R) = 0 the projection is
     the identity and would repeat the check just made.  Only a failing
     matrix is wrapped as a ``RingMatrix``."""
+    size = ring.cardinality()
+    shapes = [(1, 1), (1, 2), (2, 1)]
+    if size ** 4 <= element_budget(budget):
+        shapes.append((2, 2))
+    check_search_budget(sum(size ** (r * c) for r, c in shapes), "small matrices")
     radical, quotient, project = jacobson_radical_and_quotient(ring)
     elements = ring.elements()
     regular_payloads = {a.payload for a in elements if is_regular_element(a)[0]}
     image = {a.payload: project(a).payload for a in elements}
-    shapes = [(1, 1), (1, 2), (2, 1)]
-    if len(elements) ** 4 <= element_budget(budget):
-        shapes.append((2, 2))
     seen = regular_count = 0
     notes = []
     bad = None
@@ -1070,7 +1068,7 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
                 mapped = [tuple([image[p] for p in t]) for t in (combo, *witness)]
                 if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
                     bad = RingMatrix(ring, rows, cols, combo)
-        shape_total = len(elements) ** (rows * cols)
+        shape_total = size ** (rows * cols)
         seen += shape_total
         regular_count += shape_regular
         notes.append(f"shape {rows}x{cols}: {shape_regular}/{shape_total} regular")
@@ -1082,10 +1080,7 @@ def _cancellation_report(
 ) -> VerifierReport:
     presentation, basis = projective_monoid(ring)
     unit = presentation.element((1,) * len(basis))
-    candidates = [
-        presentation.element(v)
-        for v in itertools.product(range(bound + 1), repeat=len(basis))
-    ]
+    candidates = cancellation_candidates(presentation, bound)
     cancel = cancellation_law_check(unit, candidates)
     return VerifierReport(
         name="cancellation-and-reduction",

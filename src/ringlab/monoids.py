@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, check_search_budget
 
 _STATE_BUDGET = 20_000
 
@@ -312,6 +312,18 @@ class CancellationReport:
             f"counterexample A={','.join(map(str, a.exponents))} "
             f"B={','.join(map(str, b.exponents))}"
         )
+
+
+def cancellation_candidates(
+    presentation: MonoidPresentation, max_entry: int
+) -> list[MonoidElement]:
+    """Every element with exponents up to ``max_entry``, in lexicographic
+    order, once the (max_entry + 1)^(2k) ordered pairs that
+    :func:`cancellation_law_check` examines over them fit the search budget."""
+    k = presentation.generator_count
+    check_search_budget((max_entry + 1) ** (2 * k), "candidate pairs")
+    box = itertools.product(range(max_entry + 1), repeat=k)
+    return [presentation.element(v) for v in box]
 
 
 def cancellation_law_check(

@@ -15,9 +15,14 @@ import ringlab.cli
 import ringlab.matrices
 import ringlab.modules
 from ringlab import (
+    BudgetExceeded,
     ModularRing,
     VerifierReport,
+    cancellation_and_reduction_verify,
+    jacobson_lift_verify,
     jacobson_radical_and_quotient,
+    local_global_verify,
+    partition_of_unity_verify,
 )
 from ringlab.cli import main
 
@@ -252,6 +257,18 @@ def test_bezout_verified_identity(capsys):
     assert "verified=True" in out
 
 
+def test_bezout_reads_and_prints_operands_past_the_int_str_limit(capsys):
+    digits = "7" * 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "bezout", digits, "3")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    lines = out.splitlines()
+    assert lines[1] == f"a={digits} b=3"
+    assert lines[2].startswith("d=1 s=")
+    assert lines[3] == "identity: s*a + t*b = d verified=True"
+
+
 RECORDED_BEZOUT = json.loads(
     (Path(__file__).resolve().parent / "recorded_bezout.json").read_text()
 )
@@ -342,6 +359,64 @@ def test_check_cancellation_budget_is_checked_before_enumerating(capsys, monkeyp
         capsys, "check-cancellation", "--generators", "3", "--unit", "1,1,1",
         "--max-entry", "5",
     ) == (2, "exhausted: 46656 candidate pairs exceed the search budget 1000\n")
+
+
+Z30 = ModularRing(30)
+
+
+# Each verify section counts its whole box against the search budget before
+# it builds anything.  Over Z/30 (three maximal ideals) bound 6 gives 7^6
+# pairs; its local-global section counts them as module pairs before the
+# cancellation section counts them as candidate pairs, so that is what verify
+# reports.  Z/8 sweeps 8 + 2*8^2 + 8^4 small matrices, Z/30 has 30^5 unit
+# combinations for five generators.
+@pytest.mark.parametrize(
+    "budget, call, message, argv, verify_message",
+    [
+        (
+            "100000",
+            lambda: local_global_verify(Z30, 6),
+            "117649 module pairs exceed the search budget 100000",
+            ("--ring", "modular(30)", "--bound", "6"),
+            None,
+        ),
+        (
+            "100000",
+            lambda: cancellation_and_reduction_verify(Z30, 6),
+            "117649 candidate pairs exceed the search budget 100000",
+            ("--ring", "modular(30)", "--bound", "6"),
+            "117649 module pairs exceed the search budget 100000",
+        ),
+        (
+            None,
+            lambda: partition_of_unity_verify(Z30, map(Z30.make, (2, 4, 6, 8, 10)), 1),
+            "24300000 unit combinations exceed the search budget 1000000",
+            ("--ring", "modular(30)", "--bound", "1", "--generators", "2,4,6,8,10"),
+            None,
+        ),
+        (
+            "1000",
+            lambda: jacobson_lift_verify(ModularRing(8)),
+            "4232 small matrices exceed the search budget 1000",
+            ("--ring", "modular(8)", "--bound", "1"),
+            None,
+        ),
+    ],
+    ids=["local-global", "cancellation", "partition-of-unity", "small-shape-sweep"],
+)
+def test_verify_searches_are_counted_against_the_search_budget(
+    capsys, monkeypatch, budget, call, message, argv, verify_message
+):
+    if budget is None:
+        monkeypatch.delenv("RINGLAB_SEARCH_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", budget)
+    with pytest.raises(BudgetExceeded) as info:
+        call()
+    assert str(info.value) == message
+    assert run(capsys, "verify", *argv) == (
+        2, f"exhausted: {verify_message or message}\n"
+    )
 
 
 def test_check_cancellation_needs_monoid(capsys):
