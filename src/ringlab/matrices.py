@@ -33,14 +33,16 @@ constructor trusts as ``RingElement(ring, payload)`` does; literals and
 elements go through ``from_rows``, ``diagonal`` or ``map_entries``.
 
 One payload-level kernel, ``_reduce_payloads(ring, a, m, n)``, runs every
-reduction: it eliminates over the ring (or over the integer lift of Z/n,
-projecting mod n) and returns the row-major payload tuples of P, P_inv, Q,
-Q_inv and D, verified once by ``_reduction_holds``, the one payload check
-(D diagonal, both transform pairs multiply to the identity, P A Q = D).
+reduction: ``_eliminate_payloads`` eliminates over the ring (or over the
+integer lift of Z/n, projecting mod n) and returns the row-major payload
+tuples of P, P_inv, Q, Q_inv and D, and ``_check_reduction`` verifies them
+once by ``_reduction_holds``, the one payload check (D diagonal, both
+transform pairs multiply to the identity, P A Q = D).
 ``smith_normal_form`` and ``diagonal_reduction`` only wrap those tuples,
 ``verify_reduction`` is its shape and ring checks plus the same payload
-check, and the small-shape sweep of ``ringlab verify`` calls the kernel on
-bare payload tuples.  A wrapped reduction carries the matrix it was verified
+check, and the small-shape sweep of ``ringlab verify`` eliminates over each
+local factor of Z/n and checks each witness it joins over Z/n through
+``_check_reduction``.  A wrapped reduction carries the matrix it was verified
 against; ``reduction_to_document`` (the output of ``ringlab snf``/``reduce``)
 reports that verify instead of repeating it, and verifies any other pair
 itself.  Every matrix product runs through ``_matmul_payloads``, one ring
@@ -484,15 +486,14 @@ def _smith_core(ring: Ring, a: Sequence[Any], m: int, n: int) -> _ReductionState
     return state
 
 
-def _reduce_payloads(
+def _eliminate_payloads(
     ring: Ring, a: Sequence[Any], m: int, n: int
 ) -> tuple[tuple[Any, ...], ...]:
-    """The reduction kernel: the row-major payload tuples (P, P_inv, Q, Q_inv,
-    D) of a reduction of the m x n matrix with payloads ``a`` over ``ring``,
-    verified once.  A modular ring is reduced over the integer lift of its
+    """The unverified elimination: the row-major payload tuples (P, P_inv, Q,
+    Q_inv, D) of a reduction of the m x n matrix with payloads ``a`` over
+    ``ring``.  A modular ring is reduced over the integer lift of its
     payloads and the whole witness family projected mod n (determinant-one
-    transforms stay invertible); any other ring must be Euclidean.  The
-    check raises explicitly, so it also runs under ``python -O``."""
+    transforms stay invertible); any other ring must be Euclidean."""
     if isinstance(ring, ModularRing):
         modulus = ring.modulus
         state = _smith_core(IntegerRing(), a, m, n)
@@ -500,10 +501,31 @@ def _reduce_payloads(
     else:
         state = _smith_core(ring, a, m, n)
         flat = lambda grid: tuple(itertools.chain.from_iterable(grid))
-    P, Pi, Q, Qi, D = map(flat, (state.P, state.Pi, state.Q, state.Qi, state.M))
-    if not _reduction_holds(ring, a, m, n, P, Pi, Q, Qi, D):
+    return tuple(map(flat, (state.P, state.Pi, state.Q, state.Qi, state.M)))
+
+
+def _check_reduction(
+    ring: Ring, a: Sequence[Any], m: int, n: int, witness: Sequence[Sequence[Any]]
+) -> None:
+    """Raise unless ``witness`` (P, P_inv, Q, Q_inv, D) passes the payload
+    check ``_reduction_holds`` for the m x n matrix ``a`` over ``ring``.  A
+    failure is a bug, so the check raises explicitly and also runs under
+    ``python -O``."""
+    if not _reduction_holds(ring, a, m, n, *witness):
         raise AssertionError("reduction verification failed; this is a bug")
-    return P, Pi, Q, Qi, D
+
+
+def _reduce_payloads(
+    ring: Ring, a: Sequence[Any], m: int, n: int
+) -> tuple[tuple[Any, ...], ...]:
+    """The reduction kernel: ``_eliminate_payloads``'s (P, P_inv, Q, Q_inv,
+    D) for the m x n matrix ``a`` over ``ring``, verified once by
+    ``_check_reduction``.  The small-shape sweep of ``modules`` runs the two
+    halves apart: it eliminates over each local factor of Z/n and checks
+    each witness it joins from the factors over Z/n itself."""
+    witness = _eliminate_payloads(ring, a, m, n)
+    _check_reduction(ring, a, m, n, witness)
+    return witness
 
 
 def _wrapped_reduction(A: RingMatrix) -> DiagonalReduction:

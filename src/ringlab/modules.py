@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from .errors import (
@@ -42,8 +42,9 @@ from .errors import (
 )
 from .matrices import (
     RingMatrix,
+    _check_reduction,
+    _eliminate_payloads,
     _matmul_payloads,
-    _reduce_payloads,
     _reduction_holds,
     _regularity,
 )
@@ -1036,12 +1037,20 @@ class _SmallShapeSweep:
 
 def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     """Reduce each matrix of the shapes 1x1, 1x2, 2x1 (2x2 when |R|^4 fits
-    the element budget) once, on bare payload tuples through the reduction
-    kernel (which verifies each reduction), and count the regular ones (all
-    diagonal payloads of D regular).  Each regular reduction is mapped
-    through the radical, entry by entry, and checked over R/J(R) by the
-    kernel's payload check until one fails; when J(R) = 0 the projection is
-    the identity and would repeat the check just made.  Only a failing
+    the element budget) on bare payload tuples, and count the regular ones
+    (all diagonal payloads of D regular).
+
+    Z/n is the product of its local factors e_i Z/n = Z/q_i, one per
+    primitive idempotent e_i, with q_i = n / gcd(e_i, n) and components
+    x -> x mod q_i (CRT).  For each shape the elimination runs once on every
+    matrix over each factor; each matrix over R, in payload order, then gets
+    P, P_inv, Q, Q_inv and D joined entry by entry as sum(e_i * x_i) mod n
+    from its components' witnesses, and the joined witness is checked once
+    over R by ``_check_reduction``, regular or not.  A local ring is one
+    factor with e = 1, so its join is the identity.  Each regular reduction
+    is mapped through the radical, entry by entry, and checked over R/J(R)
+    by the same payload check until one fails; when J(R) = 0 the projection
+    is the identity and would repeat the check just made.  Only a failing
     matrix is wrapped as a ``RingMatrix``."""
     size = ring.cardinality()
     shapes = [(1, 1), (1, 2), (2, 1)]
@@ -1052,14 +1061,36 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     elements = ring.elements()
     regular_payloads = {a.payload for a in elements if is_regular_element(a)[0]}
     image = {a.payload: project(a).payload for a in elements}
+    n = ring.modulus
+    basis = primitive_idempotent_decomposition(ring)
+    factors = [(e.payload, ModularRing(n // gcd(e.payload, n))) for e in basis.elements]
+    components = {x: tuple([x % f.modulus for _, f in factors]) for x in image}
     seen = regular_count = 0
     notes = []
     bad = None
     for rows, cols in shapes:
+        slots = rows * cols
+        # each factor matrix's witness, flattened and scaled by its idempotent
+        tables = [
+            {
+                combo: tuple(
+                    [e * x for part in _eliminate_payloads(f, combo, rows, cols) for x in part]
+                )
+                for combo in itertools.product(range(f.modulus), repeat=slots)
+            }
+            for e, f in factors
+        ]
+        # where P, P_inv, Q, Q_inv and D end in a flattened witness
+        ends = list(itertools.accumulate([rows * rows] * 2 + [cols * cols] * 2 + [slots]))
+        spans = list(zip([0, *ends], ends))
         shape_regular = 0
         # the keys of ``image`` are the ring's payloads in enumeration order
-        for combo in itertools.product(image, repeat=rows * cols):
-            witness = _reduce_payloads(ring, combo, rows, cols)
+        for combo in itertools.product(image, repeat=slots):
+            # one tuple of combo's components per factor, in factor order
+            parts = zip(*[components[x] for x in combo])
+            joined = [sum(column) % n for column in zip(*map(dict.__getitem__, tables, parts))]
+            witness = [tuple(joined[start:end]) for start, end in spans]
+            _check_reduction(ring, combo, rows, cols, witness)
             D = witness[4]
             if any(D[i * cols + i] not in regular_payloads for i in range(min(rows, cols))):
                 continue
@@ -1068,7 +1099,7 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
                 mapped = [tuple([image[p] for p in t]) for t in (combo, *witness)]
                 if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
                     bad = RingMatrix(ring, rows, cols, combo)
-        shape_total = size ** (rows * cols)
+        shape_total = size ** slots
         seen += shape_total
         regular_count += shape_regular
         notes.append(f"shape {rows}x{cols}: {shape_regular}/{shape_total} regular")

@@ -250,22 +250,27 @@ def refine(
     box = [tuple(reversed(range(bound + 1)))] * k  # descending per coordinate
     candidates = list(itertools.product(*box))
     ascending = list(itertools.product(*([tuple(range(bound + 1))] * k)))
+    # the loops stop early on each failed test, so the budget counts tests as
+    # they run rather than the (bound+1)^(4k) grids of the box
+    tests = itertools.count(1)
+
+    def equal(a: MonoidElement, b: MonoidElement) -> bool:
+        check_search_budget(next(tests), "word-problem tests")
+        return normalize_and_eq(a, b, bound) == EqResult.EQUAL
+
     for z11 in candidates:
         e11 = pres.element(z11)
         for z12 in ascending:
             e12 = pres.element(z12)
-            if normalize_and_eq(e11 + e12, x1, bound) != EqResult.EQUAL:
+            if not equal(e11 + e12, x1):
                 continue
             for z21 in ascending:
                 e21 = pres.element(z21)
-                if normalize_and_eq(e11 + e21, y1, bound) != EqResult.EQUAL:
+                if not equal(e11 + e21, y1):
                     continue
                 for z22 in ascending:
                     e22 = pres.element(z22)
-                    if (
-                        normalize_and_eq(e21 + e22, x2, bound) == EqResult.EQUAL
-                        and normalize_and_eq(e12 + e22, y2, bound) == EqResult.EQUAL
-                    ):
+                    if equal(e21 + e22, x2) and equal(e12 + e22, y2):
                         return RefinementWitness(e11, e12, e21, e22)
     return None
 

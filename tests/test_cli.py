@@ -301,6 +301,21 @@ def test_refine_bound_exhaustion(capsys):
     assert "exhausted" in out
 
 
+def test_refine_over_a_presented_monoid_counts_its_tests_against_the_budget(
+    capsys, monkeypatch
+):
+    # no refinement exists, so unbounded the box search at --bound 4 makes
+    # about 390,000 word-problem tests; the budget stops it at the 1,001st
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "1000")
+    doc = json.dumps({"generators": 4, "relations": [[[1, 1, 0, 0], [0, 0, 1, 1]]]})
+    code, out = run(
+        capsys, "refine", "--monoid", doc, "1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1",
+        "--bound", "4",
+    )
+    assert code == 2
+    assert out == "exhausted: 1001 word-problem tests exceed the search budget 1000\n"
+
+
 def test_refine_sum_mismatch(capsys):
     code, out = run(capsys, "refine", "--generators", "1", "1", "0", "0", "0")
     assert code == 3
@@ -655,33 +670,81 @@ def test_verify_reports_a_wrong_projection(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, calls",
+    "ring, eliminations, checks",
     [
         # J = 0: one sweep of 30 + 900 + 900 matrices (2x2 is over the
-        # element budget) also serves as the quotient sweep, plus one
-        # reduction for each of the 30 regular 1x1 matrices
-        ("modular(30)", 1_860),
-        # J != 0: 300 matrices over modular(12), 1,374 over the quotient
-        # modular(6) (2x2 included), and 9 regular 1x1 matrices
-        ("modular(12)", 1_683),
+        # element budget) also serves as the quotient sweep.  It eliminates
+        # over Z/2, Z/3 and Z/5 once per factor matrix, 10 + 38 + 38, and
+        # checks each joined witness over Z/30; the decomposition section
+        # reduces each of the 30 regular 1x1 matrices through the kernel
+        pytest.param("modular(30)", 86 + 30, 1_830 + 30, id="modular(30)-1860"),
+        # J != 0: Z/12 = Z/4 x Z/3 (7 + 25 + 25 factor matrices for 300
+        # matrices over Z/12), its quotient Z/6 = Z/2 x Z/3 with 2x2
+        # included (5 + 13 + 13 + 97 for 1,374), and 9 regular 1x1 matrices
+        pytest.param(
+            "modular(12)", 57 + 128 + 9, 300 + 1_374 + 9, id="modular(12)-1683"
+        ),
     ],
 )
-def test_verify_reduces_each_small_matrix_once(capsys, monkeypatch, ring, calls):
-    # the sweep calls the reduction kernel directly, and diagonal_reduction
-    # (the decomposition section) calls it once per matrix
-    original = ringlab.matrices._reduce_payloads
-    count = 0
+def test_verify_reduces_each_small_matrix_once(
+    capsys, monkeypatch, ring, eliminations, checks
+):
+    # the sweep eliminates each factor matrix once and checks each matrix
+    # over R once; diagonal_reduction (the decomposition section) runs the
+    # whole kernel, one elimination and one check, per matrix
+    counts = {"_eliminate_payloads": 0, "_check_reduction": 0}
+    for name in counts:
+        original = getattr(ringlab.matrices, name)
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return original(*args)
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr("ringlab.matrices._reduce_payloads", counted)
-    monkeypatch.setattr("ringlab.modules._reduce_payloads", counted)
+        monkeypatch.setattr(f"ringlab.matrices.{name}", counted)
+        monkeypatch.setattr(f"ringlab.modules.{name}", counted)
     code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
     assert code == 0
-    assert count == calls
+    assert counts == {"_eliminate_payloads": eliminations, "_check_reduction": checks}
+
+
+_TAMPERED_FACTOR = """
+import ringlab.matrices, ringlab.modules
+
+def tampered(ring, a, m, n):
+    # one wrong P entry for the matrix [[1]] over the factor Z/3 of Z/6
+    P, Pi, Q, Qi, D = ringlab.matrices._eliminate_payloads(ring, a, m, n)
+    if ring.modulus == 3 and tuple(a) == (1,):
+        P = ((P[0] + 1) % 3,)
+    return P, Pi, Q, Qi, D
+"""
+
+
+def test_a_wrong_factor_witness_fails_the_joined_check(capsys, monkeypatch):
+    # Z/6 = Z/2 x Z/3: the wrong Z/3 component makes the joined P over Z/6
+    # fail its check over R, which is a bug (exit 4), not a violation
+    namespace = {}
+    exec(_TAMPERED_FACTOR, namespace)
+    monkeypatch.setattr("ringlab.modules._eliminate_payloads", namespace["tampered"])
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
+    assert code == 4
+    assert out.splitlines()[0] == "internal error: reduction verification failed; this is a bug"
+
+
+def test_joined_check_survives_python_O():
+    script = _TAMPERED_FACTOR + """
+ringlab.modules._eliminate_payloads = tampered
+import ringlab.cli
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "internal error: reduction verification failed; this is a bug"
+    assert lines[-1] == "exit 4"
 
 
 def test_verify_rejects_non_modular(capsys):

@@ -53,7 +53,10 @@ from ringlab import (
     verify_suite,
 )
 from ringlab.cli import _default_partition_generators
+from ringlab.errors import element_budget
+from ringlab.matrices import _reduce_payloads, _reduction_holds
 from ringlab.modules import _small_shape_sweep
+from ringlab.rings import is_regular_element
 
 Z4 = ModularRing(4)
 Z6 = ModularRing(6)
@@ -718,6 +721,84 @@ def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
     sweep = _small_shape_sweep(ring, None)
     assert sweep.seen == 292
     assert len(built) < sweep.seen
+
+
+def _direct_sweep(ring, budget):
+    """The small-shape sweep's counts, notes and first failed projection
+    from one direct ``_reduce_payloads`` per matrix over R: the oracle of
+    the sweep that eliminates over each CRT factor and joins the witnesses."""
+    shapes = [(1, 1), (1, 2), (2, 1)]
+    if ring.cardinality() ** 4 <= element_budget(budget):
+        shapes.append((2, 2))
+    radical, quotient, project = ringlab.modules.jacobson_radical_and_quotient(ring)
+    payloads = [a.payload for a in ring.elements()]
+    regular = {a.payload for a in ring.elements() if is_regular_element(a)[0]}
+    image = {a.payload: project(a).payload for a in ring.elements()}
+    seen = regular_count = 0
+    notes = []
+    bad = None
+    for rows, cols in shapes:
+        shape_regular = 0
+        for combo in itertools.product(payloads, repeat=rows * cols):
+            witness = _reduce_payloads(ring, combo, rows, cols)
+            if any(witness[4][i * cols + i] not in regular for i in range(min(rows, cols))):
+                continue
+            shape_regular += 1
+            if len(radical) > 1 and bad is None:
+                mapped = [tuple(image[p] for p in t) for t in (combo, *witness)]
+                if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
+                    bad = RingMatrix(ring, rows, cols, combo)
+        total = len(payloads) ** (rows * cols)
+        seen += total
+        regular_count += shape_regular
+        notes.append(f"shape {rows}x{cols}: {shape_regular}/{total} regular")
+    return seen, regular_count, tuple(notes), bad
+
+
+def _sweep_with_recorded_checks(monkeypatch, ring, budget):
+    """The sweep, and the arguments of every payload check it makes over R."""
+    checks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "ringlab.matrices._reduction_holds", lambda *args: checks.append(args) or True
+        )
+        sweep = _small_shape_sweep(ring, budget)
+    return sweep, checks
+
+
+@pytest.mark.parametrize(
+    "descriptor, budget",
+    [(f"modular({n})", None) for n in (4, 6, 8, 9, 10, 12, 30, 36, 60)]
+    + [("gf(5)", None)]
+    + [(f"modular({n})", n**4) for n in (4, 8, 9)],
+)
+def test_split_sweep_matches_a_direct_reduction_per_matrix(monkeypatch, descriptor, budget):
+    ring = parse_ring(descriptor)
+    sweep, checks = _sweep_with_recorded_checks(monkeypatch, ring, budget)
+    assert (sweep.seen, sweep.regular, sweep.notes, sweep.bad) == _direct_sweep(ring, budget)
+    # every matrix over R is checked exactly once, in payload order, and
+    # every joined witness is a reduction over R
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2)][: len(sweep.notes)]
+    payloads = [a.payload for a in ring.elements()]
+    assert [(c[0], c[2], c[3], tuple(c[1])) for c in checks] == [
+        (ring, rows, cols, combo)
+        for rows, cols in shapes
+        for combo in itertools.product(payloads, repeat=rows * cols)
+    ]
+    assert all(_reduction_holds(*args) for args in checks)
+
+
+def test_split_sweep_reports_the_first_failed_projection(monkeypatch):
+    # Z/12 = Z/4 x Z/3 with J = {0, 6}: a projection that sends everything
+    # to 0 breaks the first regular matrix, [[0]], on both routes
+    radical, quotient, _ = jacobson_radical_and_quotient(Z12)
+    monkeypatch.setattr(
+        "ringlab.modules.jacobson_radical_and_quotient",
+        lambda ring: (radical, quotient, lambda a: quotient.zero()),
+    )
+    sweep = _small_shape_sweep(Z12, None)
+    assert sweep.bad == RingMatrix.from_rows(Z12, [[0]])
+    assert _direct_sweep(Z12, None)[3] == sweep.bad
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,16 @@ def test_refine_presented_monoid():
         assert normalize_and_eq(got, want) == EqResult.EQUAL
 
 
+def test_refine_counts_presented_word_tests_against_the_search_budget(monkeypatch):
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "10")
+    e = PAIR_UP.element
+    with pytest.raises(BudgetExceeded, match="11 word-problem tests exceed the search budget 10"):
+        refine(e((2, 0)), e((0, 1)), e((0, 1)), e((2, 0)), bound=3)
+    # the free path makes no word-problem test, so the budget does not touch it
+    e = FREE1.element
+    assert refine(e((5,)), e((5,)), e((5,)), e((5,)), bound=5) is not None
+
+
 def test_refine_uncertifiable_sum_is_budget_error():
     e = ORDER_TWO.element
     with pytest.raises(BudgetExceeded):
