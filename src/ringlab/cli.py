@@ -24,7 +24,7 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .counterexamples import (
     PrincipalWitness,
@@ -85,17 +85,22 @@ def _unlimited_int_digits() -> Iterator[None]:
         setter(previous)
 
 
+def _load_json(text: str, what: str) -> Any:
+    """Decode one JSON argument.  Text that is not JSON, or nests deeper than
+    the decoder's recursion limit, is an input error."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _read_matrix(path: str) -> RingMatrix:
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"matrix input is not valid JSON: {exc}") from exc
-    return matrix_from_document(doc)
+    return matrix_from_document(_load_json(text, "matrix input"))
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -106,21 +111,13 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
 
 
 def _parse_element(ring: Ring, text: str):
-    try:
-        literal = json.loads(text)
-    except json.JSONDecodeError:
-        literal = text
-    return ring.make(literal)
+    return ring.make(_load_json(text, "element literal"))
 
 
 def _presentation_from_args(args: argparse.Namespace) -> MonoidPresentation:
     if args.monoid is None:
         return MonoidPresentation(generator_count=args.generators, relations=())
-    try:
-        doc = json.loads(args.monoid)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--monoid is not valid JSON: {exc}") from exc
-    return MonoidPresentation.from_json(doc)
+    return MonoidPresentation.from_json(_load_json(args.monoid, "--monoid"))
 
 
 def _cmd_reduction(args: argparse.Namespace) -> int:

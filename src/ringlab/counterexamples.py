@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import UnsupportedRing, check_search_budget
+from .errors import UnsupportedRing, check_search_budget, check_search_power
 from .matrices import RingMatrix
 from .rings import (
     BivariatePolynomialRing,
@@ -63,18 +63,20 @@ class NotPrincipalUpTo:
 
 def _degree_tools(ring: Ring):
     """The degree function of ``ring``, the enumerator of its box of elements
-    of degree <= d, and the size of that box, computed without enumerating."""
+    of degree <= d, and the size of that box as q and the exponent k(d) with
+    q ** k(d) elements, computed without enumerating."""
     if isinstance(ring, PolynomialRing):
         if not ring.base.is_finite():
             raise UnsupportedRing("principality search needs finite coefficients")
         q = ring.base.cardinality()
-        return ring.degree, ring.elements_up_to_degree, lambda d: q ** (d + 1)
+        return ring.degree, ring.elements_up_to_degree, q, lambda d: d + 1
     if isinstance(ring, BivariatePolynomialRing):
         q = ring.base.cardinality()
         return (
             ring.total_degree,
             ring.elements_up_to_total_degree,
-            lambda d: q ** ((d + 1) * (d + 2) // 2),
+            q,
+            lambda d: (d + 1) * (d + 2) // 2,
         )
     raise UnsupportedRing(
         f"principality search works over polynomial rings, got {ring.descriptor()}"
@@ -124,14 +126,15 @@ def bounded_principality_check(
     ring = generators[0].ring
     for f in generators:
         ring._own(f)
-    degree_of, enumerate_up_to, box_size = _degree_tools(ring)
+    degree_of, enumerate_up_to, q, box_exponent = _degree_tools(ring)
     for f in generators:
         if not f.is_zero() and degree_of(f) > bound:
             raise ValueError(
                 f"generator {f.literal()} exceeds the degree bound {bound}"
             )
-    size = box_size(bound)
-    check_search_budget(size ** len(generators), "cofactor combinations", budget)
+    check_search_power(
+        q, box_exponent(bound) * len(generators), "cofactor combinations", budget
+    )
     candidates = [h.payload for h in enumerate_up_to(bound)]
     add, mul, zero = ring._add, ring._mul, ring._zero()
     targets = [f.payload for f in generators]
@@ -165,7 +168,7 @@ def bounded_principality_check(
                 grown[total] = combo + (i,)
         members = grown
     # low is the subgroup L of the docstring, reps the coset representatives T
-    fits = [d for d in range(bound) if box_size(d) ** 2 <= size]
+    fits = [d for d in range(bound) if 2 * box_exponent(d) <= box_exponent(bound)]
     low = [h.payload for h in enumerate_up_to(fits[-1])] if fits else [zero]
     _, reps = _coset_representatives(candidates, low, add)
     if len(reps) * len(low) != len(candidates):

@@ -1,19 +1,22 @@
 """Shared exception types and the two budgets that bound every search.
 
 Exhaustive searches in this package are always bounded, and every refusal
-goes through :func:`check_element_budget` or :func:`check_search_budget`.
-A search counts its whole box before it enumerates or builds anything; the
-helper raises :class:`BudgetExceeded` ("{count} {what} exceed the search
-budget {cap}") when the count passes the cap, an inconclusive outcome,
-never a negative one.  The element budget counts ring elements
-(``Ring.elements``) and the carrier points of ``free_module``,
-``to_finite_module`` and ``kernel_image_cokernel``.  The search budget,
-which ``RINGLAB_SEARCH_BUDGET`` sets for the process, counts cofactor
+goes through :func:`check_element_budget` or :func:`check_search_budget`
+(:func:`check_search_power` for a count given as a power, which it names
+as that power once the count is far past the cap).  A search counts its
+whole box before it enumerates or builds anything; the helper raises
+:class:`BudgetExceeded` ("{count} {what} exceed the search budget {cap}")
+when the count passes the cap, an inconclusive outcome, never a negative
+one.  The element budget counts ring elements (``Ring.elements``) and the
+carrier points of ``free_module``, ``to_finite_module`` and
+``kernel_image_cokernel``.  The search budget, which
+``RINGLAB_SEARCH_BUDGET`` sets for the process, counts cofactor
 combinations and column pairs (the counterexample searches), candidate
 matrices (brute-force regularity), candidate generator images
-(``find_module_isomorphism``), and the module pairs, candidate pairs, unit
-combinations and small matrices of ``verify`` and ``check-cancellation``.
-A caller's ``budget=`` replaces either cap for one call.
+(``find_module_isomorphism``), the trial divisors of the primality test
+behind ``gf(p)``, and the module pairs, candidate pairs, unit combinations
+and small matrices of ``verify`` and ``check-cancellation``.  A caller's
+``budget=`` replaces either cap for one call.
 """
 
 from __future__ import annotations
@@ -83,3 +86,16 @@ def check_search_budget(count: int, what: str, budget: int | None = None) -> Non
     cap = search_budget(budget)
     if count > cap:
         raise BudgetExceeded(f"{count} {what} exceed the search budget {cap}")
+
+
+def check_search_power(
+    base: int, exponent: int, what: str, budget: int | None = None
+) -> None:
+    """:func:`check_search_budget` for a search over ``base ** exponent``
+    ``what``.  The count is built only when it has at most four times the
+    cap's bits; a larger one is refused as the power itself, so neither the
+    decision nor the message grows with the exponent."""
+    cap = search_budget(budget)
+    if exponent * (base.bit_length() - 1) > 2 * cap.bit_length():
+        raise BudgetExceeded(f"{base}^{exponent} {what} exceed the search budget {cap}")
+    check_search_budget(base ** exponent, what, cap)

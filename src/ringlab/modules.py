@@ -4,7 +4,9 @@ Two representations coexist.  A ``ProjectiveModule`` is a multiplicity vector
 over the ring's primitive idempotents (the module is the direct sum of that
 many copies of each corner ``e_i R``), which makes isomorphism testing exact.
 A ``FiniteModule`` carries its points explicitly, so kernels, images,
-cokernels, and brute-force isomorphism searches all run by enumeration.
+cokernels, and brute-force isomorphism searches all run by enumeration; a
+matrix's kernel, image and cokernel take the images of every domain point
+from one payload product.
 
 Localizing at a maximal ideal and at an element are one construction over a
 finite ring: the corner cut by an idempotent (the primitive idempotent
@@ -655,28 +657,27 @@ def localize_at_element(
 # kernels, images, cokernels
 
 
-def _matrix_action(f: RingMatrix) -> Callable[[tuple], tuple]:
-    ring, rows, cols, flat = f.ring, f.rows, f.cols, f.payloads
-    return lambda x: _matmul_payloads(ring, flat, x, rows, cols, 1)
-
-
 def kernel_image_cokernel(
     f: RingMatrix, budget: int | None = None
 ) -> tuple[FiniteModule, FiniteModule, FiniteModule]:
     """Explicit ker, im, coker of the action x -> f x on column tuples, with
-    the cardinality identity |ker| * |im| = |R|^cols asserted."""
+    the cardinality identity |ker| * |im| = |R|^cols asserted.  The images
+    come from one product f @ X, the columns of X the domain points in
+    enumeration order."""
     ring = f.ring
     if not ring.is_finite():
         raise UnsupportedRing("kernel enumeration needs a finite ring")
     payloads = [e.payload for e in ring.elements()]
     size = len(payloads)
     check_element_budget(size ** max(f.cols, f.rows), "carrier points", budget)
-    act = _matrix_action(f)
     zero_domain = (ring._zero(),) * f.cols
     zero_codomain = (ring._zero(),) * f.rows
     add, scale = _tuple_rules(ring)
     domain = list(itertools.product(payloads, repeat=f.cols))
-    images = [act(x) for x in domain]
+    count = len(domain)
+    X = [x[i] for i in range(f.cols) for x in domain]
+    Y = _matmul_payloads(ring, f.payloads, X, f.rows, f.cols, count)
+    images = [Y[j::count] for j in range(count)]
     kernel_points = [x for x, y in zip(domain, images) if y == zero_codomain]
     image_points = list(dict.fromkeys(images))
     kernel = _LibraryModule(ring, kernel_points, zero_domain, add, scale, "ker(f)")
@@ -831,25 +832,21 @@ def partition_of_unity_verify(
     ring: Ring, generators: Iterable[RingElement], bound: int
 ) -> VerifierReport:
     """Like the local-global check, but localizing at finitely many elements
-    that generate the unit ideal (verified by exhaustive combination search).
-    The corner of each generator is built and checked once, by the builder
-    :func:`localize_at_element` uses, and shared by every module's view."""
+    that generate the unit ideal (verified by exhaustive combination search,
+    one payload dot product per combination).  The corner of each generator
+    is built and checked once, by the builder :func:`localize_at_element`
+    uses, and shared by every module's view."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
         ring._own(g)
     check_search_budget(ring.cardinality() ** len(gens), "unit combinations")
-    elements = ring.elements()
-    one = ring.one()
-    witness = None
-    for combo in itertools.product(elements, repeat=len(gens)):
-        total = ring.zero()
-        for g, r in zip(gens, combo):
-            total = total + g * r
-        if total == one:
-            witness = combo
-            break
+    payloads = [e.payload for e in ring.elements()]
+    gen_payloads = [g.payload for g in gens]
+    one = ring._one()
+    combos = itertools.product(payloads, repeat=len(gens))
+    witness = next((c for c in combos if ring._dot(gen_payloads, c) == one), None)
     if witness is None:
         raise ValueError(
             f"{[g.literal() for g in gens]} do not generate {ring.descriptor()}"
@@ -859,7 +856,8 @@ def partition_of_unity_verify(
     _, checked, counterexample = _compare_global_and_local(basis, bound, localizers)
     holds = counterexample is None
     combination = " + ".join(
-        f"{g.literal()}*{r.literal()}" for g, r in zip(gens, witness)
+        f"{g.literal()}*{RingElement(ring, r).literal()}"
+        for g, r in zip(gens, witness)
     )
     return VerifierReport(
         name="partition-of-unity",

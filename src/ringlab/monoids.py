@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, check_search_budget
+from .rings import _check_int
 
 _STATE_BUDGET = 20_000
 
@@ -36,6 +37,14 @@ def _vector(values: Iterable[int], length: int | None = None) -> tuple[int, ...]
     return vec
 
 
+def _relation_side(side: object, length: int) -> tuple[int, ...]:
+    """One side of a relation as given: a list of ``length`` int exponents
+    (bools and floats refused, never truncated)."""
+    if not isinstance(side, (list, tuple)) or len(side) != length:
+        raise ValueError(f"expected a relation side of {length} exponents, got {side!r}")
+    return _vector([_check_int(v) for v in side])
+
+
 @dataclass(frozen=True)
 class MonoidPresentation:
     """A commutative monoid given by a generator count and relation pairs.
@@ -48,10 +57,11 @@ class MonoidPresentation:
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.generator_count, int) or self.generator_count < 1:
+        count = self.generator_count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ValueError("generator_count must be a positive integer")
         canon = tuple(
-            (_vector(lhs, self.generator_count), _vector(rhs, self.generator_count))
+            (_relation_side(lhs, count), _relation_side(rhs, count))
             for lhs, rhs in self.relations
         )
         object.__setattr__(self, "relations", canon)
@@ -79,12 +89,10 @@ class MonoidPresentation:
         relations = doc.get("relations", [])
         if not isinstance(relations, list):
             raise ValueError("'relations' must be a list of [lhs, rhs] pairs")
-        pairs = []
         for item in relations:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError(f"expected a [lhs, rhs] pair, got {item!r}")
-            pairs.append((tuple(item[0]), tuple(item[1])))
-        return cls(doc["generators"], tuple(pairs))
+        return cls(doc["generators"], tuple(map(tuple, relations)))
 
     def describe(self) -> str:
         if self.is_free:

@@ -57,7 +57,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import MismatchedRings, UnsupportedRing, check_element_budget
+from .errors import (
+    MismatchedRings,
+    UnsupportedRing,
+    check_element_budget,
+    check_search_budget,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +347,7 @@ def _is_prime(n: int) -> bool:
         return False
     if n % 2 == 0:
         return n == 2
+    check_search_budget((math.isqrt(n) - 1) // 2, "trial divisors")
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -524,10 +530,6 @@ class PolynomialRing(Ring):
         nonzero = [p for p in payloads if p != self.base._zero()]
         yield self.zero()
         for deg in range(max_degree + 1):
-            if deg == 0:
-                for lead in nonzero:
-                    yield RingElement(self, (lead,))
-                continue
             for body in itertools.product(payloads, repeat=deg):
                 for lead in nonzero:
                     yield RingElement(self, body + (lead,))
@@ -1009,9 +1011,14 @@ def parse_ring(text: str) -> Ring:
 
 
 class _DescriptorParser:
+    # far deeper than any ring the package computes in, and shallow enough
+    # that parsing never nears the interpreter's recursion limit
+    MAX_DEPTH = 32
+
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -1058,6 +1065,15 @@ class _DescriptorParser:
         self._expect("=")
         return self._int()
 
+    def _inner_ring(self) -> Ring:
+        """The ring argument of a constructor, one level deeper."""
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            self._fail(f"rings nest deeper than {self.MAX_DEPTH} constructors")
+        ring = self.parse_ring()
+        self.depth -= 1
+        return ring
+
     def parse_ring(self) -> Ring:
         name = self._word()
         if name == "integers":
@@ -1074,13 +1090,13 @@ class _DescriptorParser:
             return PrimeField(p)
         if name == "poly":
             self._expect("(")
-            base = self.parse_ring()
+            base = self._inner_ring()
             bound = self._bound() if self._peek(",") else None
             self._expect(")")
             return PolynomialRing(base, bound)
         if name == "poly2":
             self._expect("(")
-            base = self.parse_ring()
+            base = self._inner_ring()
             if not isinstance(base, PrimeField):
                 self._fail("poly2 requires a gf(p) base")
             bound = self._bound()
@@ -1088,15 +1104,15 @@ class _DescriptorParser:
             return BivariatePolynomialRing(base, bound)
         if name == "product":
             self._expect("(")
-            factors = [self.parse_ring()]
+            factors = [self._inner_ring()]
             while self._peek(","):
                 self._expect(",")
-                factors.append(self.parse_ring())
+                factors.append(self._inner_ring())
             self._expect(")")
             return ProductRing(factors)
         if name == "trivial":
             self._expect("(")
-            base = self.parse_ring()
+            base = self._inner_ring()
             self._expect(")")
             return TrivialExtensionRing(base)
         self._fail(f"unknown ring constructor {name!r}")

@@ -930,6 +930,85 @@ def test_help_exits_clean(capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed and over-nested input is an input error
+
+
+NESTED_LIST = "[" * 20000 + "]" * 20000
+
+
+def test_an_over_nested_ring_descriptor_is_an_input_error(capsys):
+    descriptor = "poly(" * 3000 + "integers" + ")" * 3000
+    code, out = run(capsys, "bezout", "--ring", descriptor, "1", "2")
+    assert code == 3
+    assert out.startswith("input error: bad ring descriptor at position ")
+    assert out.endswith(": rings nest deeper than 32 constructors\n")
+
+
+def test_an_over_nested_matrix_input_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out = run(capsys, "snf", "--input", str(path))
+    assert code == 3
+    assert out.startswith("input error: matrix input is not valid JSON: ")
+
+
+def test_an_over_nested_monoid_is_an_input_error(capsys):
+    code, out = run(capsys, "refine", "--monoid", NESTED_LIST, "1", "1", "1", "1")
+    assert code == 3
+    assert out.startswith("input error: --monoid is not valid JSON: ")
+
+
+def test_an_over_nested_element_literal_is_an_input_error(capsys):
+    code, out = run(capsys, "bezout", "--ring", "poly(gf(7))", NESTED_LIST, "1")
+    assert code == 3
+    assert out.startswith("input error: element literal is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "monoid, message",
+    [
+        ('{"generators": 1, "relations": [[[[1]], [2]]]}', "expected an integer literal, got [1]"),
+        ('{"generators": 1, "relations": [[1, 2]]}', "expected a relation side of 1 exponents, got 1"),
+        ('{"generators": true}', "generator_count must be a positive integer"),
+        ('{"generators": 1, "relations": [[[2.9], [1]]]}', "expected an integer literal, got 2.9"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("refine", "1", "1", "1", "1"),
+        ("check-cancellation", "--unit", "1", "--max-entry", "2"),
+    ],
+)
+def test_a_malformed_monoid_is_refused(capsys, command, monoid, message):
+    code, out = run(capsys, command[0], "--monoid", monoid, *command[1:])
+    assert (code, out) == (3, f"input error: {message}\n")
+
+
+def test_a_huge_prime_field_exhausts_the_trial_division_budget(capsys):
+    code, out = run(capsys, "bezout", "--ring", "gf(1000000000000000003)", "1", "2")
+    assert (code, out) == (
+        2,
+        "exhausted: 499999999 trial divisors exceed the search budget 1000000\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("ex31", "--degree", "10000000"), "4^20000002"),
+        (("ex33", "--degree", "100000"), "2^10000300002"),
+    ],
+)
+def test_an_oversized_principality_box_is_refused_in_one_short_line(capsys, argv, line):
+    code, out = run(capsys, "counterexample", *argv)
+    assert (code, out) == (
+        2,
+        f"exhausted: {line} cofactor combinations exceed the search budget 1000000\n",
+    )
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 
 

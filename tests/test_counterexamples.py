@@ -184,6 +184,25 @@ def test_over_budget_principality_search_enumerates_nothing():
     assert _peak_bytes(search) < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "ring, generators, bound, count",
+    [
+        (PolynomialRing(ModularRing(4)), lambda r: [r.make(2), r.gen()], 100000, "4^200002"),
+        (PolynomialRing(ModularRing(4)), lambda r: [r.make(2), r.gen()], 10, "4^22"),
+        (PolynomialRing(ModularRing(4)), lambda r: [r.make(2), r.gen()], 9, "1099511627776"),
+        (BivariatePolynomialRing(PrimeField(2), bound=2), lambda r: list(r.gens()), 1000, "2^1003002"),
+    ],
+)
+def test_an_oversized_box_is_refused_without_building_its_count(ring, generators, bound, count):
+    # the count is written out while it has at most four times the cap's
+    # 20 bits (4^20 = 2^40 here), and as the power past that
+    with pytest.raises(BudgetExceeded) as info:
+        bounded_principality_check(generators(ring), bound)
+    assert str(info.value) == (
+        f"{count} cofactor combinations exceed the search budget 1000000"
+    )
+
+
 def test_generator_degree_is_checked_before_the_budget():
     with pytest.raises(ValueError, match="exceeds the degree bound 7"):
         bounded_principality_check([Z4X.make([0] * 8 + [1]), Z4X.gen()], 7)

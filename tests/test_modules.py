@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import re
 from math import prod
 from pathlib import Path
@@ -528,6 +529,76 @@ def test_kernel_budget():
         kernel_image_cokernel(f, budget=10)
 
 
+def _reference_kernel_image_cokernel(f):
+    """ker, im and coker of f by applying ``RingMatrix.apply`` to one domain
+    point at a time: the kernel in domain order, the image in first-seen
+    order, and the cokernel's first-in-order representatives of R^rows,
+    each found by subtracting the earlier representatives."""
+    ring = f.ring
+    elements = ring.elements()
+    kernel, image = [], {}
+    for x in itertools.product(elements, repeat=f.cols):
+        y = f.apply(x)
+        if all(v.is_zero() for v in y):
+            kernel.append(tuple(v.payload for v in x))
+        image.setdefault(tuple(v.payload for v in y), None)
+    reps = []
+    for p in itertools.product(elements, repeat=f.rows):
+        if not any(
+            tuple((a - b).payload for a, b in zip(p, r)) in image for r in reps
+        ):
+            reps.append(p)
+    return tuple(kernel), tuple(image), tuple(tuple(v.payload for v in r) for r in reps)
+
+
+def _matrices(ring, rows, cols):
+    payloads = [e.payload for e in ring.elements()]
+    for entries in itertools.product(payloads, repeat=rows * cols):
+        yield RingMatrix(ring, rows, cols, entries)
+
+
+def _kernel_cases():
+    for n in (4, 6, 9):
+        for shape in ((1, 1), (1, 2), (2, 1)):
+            yield f"modular({n})", shape, None
+    yield "modular(4)", (2, 2), None
+    for descriptor in ("product(modular(2), modular(3))", "trivial(modular(2))"):
+        for shape in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            yield descriptor, shape, 40
+
+
+@pytest.mark.parametrize("descriptor, shape, sample", list(_kernel_cases()))
+def test_kernel_image_cokernel_matches_a_per_point_reference(descriptor, shape, sample):
+    ring = parse_ring(descriptor)
+    matrices = list(_matrices(ring, *shape))
+    if sample is not None and len(matrices) > sample:
+        matrices = random.Random(f"{descriptor}{shape}").sample(matrices, sample)
+    for f in matrices:
+        ker, im, coker = kernel_image_cokernel(f)
+        kernel, image, reps = _reference_kernel_image_cokernel(f)
+        assert ker.points == kernel, f
+        assert im.points == image, f
+        assert coker.points == reps, f
+        assert (ker.label, im.label, coker.label) == ("ker(f)", "im(f)", "coker(f)")
+        assert ker.zero == (ring._zero(),) * f.cols
+        assert im.zero == coker.zero == (ring._zero(),) * f.rows
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_kernel_image_cokernel_takes_every_image_from_one_product(monkeypatch, shape):
+    calls = []
+    product = ringlab.modules._matmul_payloads
+
+    def counted(*args):
+        calls.append(args[3:])
+        return product(*args)
+
+    monkeypatch.setattr(ringlab.modules, "_matmul_payloads", counted)
+    f = RingMatrix(Z6, *shape, tuple(range(1, shape[0] * shape[1] + 1)))
+    kernel_image_cokernel(f)
+    assert calls == [(shape[0], shape[1], 6 ** shape[1])]
+
+
 # ---------------------------------------------------------------------------
 # rank verdicts
 
@@ -599,6 +670,47 @@ def test_partition_of_unity_verify_holds():
 def test_partition_of_unity_needs_generating_set():
     with pytest.raises(ValueError):
         partition_of_unity_verify(Z6, [Z6.make(2)], 2)
+
+
+def _reference_unit_combination(ring, gens):
+    """The first combination sum(g_i * r_i) = 1 in element order, summed on
+    ``RingElement`` wrappers, or None."""
+    for combo in itertools.product(ring.elements(), repeat=len(gens)):
+        total = ring.zero()
+        for g, r in zip(gens, combo):
+            total = total + g * r
+        if total == ring.one():
+            return combo
+    return None
+
+
+@pytest.mark.parametrize(
+    "descriptor, generators",
+    [
+        ("modular(6)", [3, 4]),
+        ("modular(12)", [4, 9]),
+        ("modular(30)", [6, 25]),
+        ("gf(5)", [2]),
+        ("modular(6)", [2]),
+        ("modular(12)", [4, 6]),
+        ("modular(30)", [6, 10, 15]),
+        ("gf(5)", [0]),
+    ],
+)
+def test_partition_of_unity_witness_matches_an_element_search(descriptor, generators):
+    ring = parse_ring(descriptor)
+    gens = [ring.make(g) for g in generators]
+    witness = _reference_unit_combination(ring, gens)
+    if witness is None:
+        with pytest.raises(ValueError) as info:
+            partition_of_unity_verify(ring, gens, 1)
+        assert str(info.value) == f"{generators} do not generate {descriptor}"
+        return
+    report = partition_of_unity_verify(ring, gens, 1)
+    combination = " + ".join(
+        f"{g.literal()}*{r.literal()}" for g, r in zip(gens, witness)
+    )
+    assert report.details == (f"unit combination: {combination} = 1",)
 
 
 def test_diagonal_refinement_on_regular_diagonal():

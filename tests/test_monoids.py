@@ -35,6 +35,30 @@ def test_element_validation():
         MonoidPresentation(0)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"generators": 1, "relations": [[[[1]], [2]]]},
+        {"generators": 1, "relations": [[1, 2]]},
+        {"generators": True},
+        {"generators": 1, "relations": [[[2.9], [1]]]},
+        {"generators": 2, "relations": [[[1], [0, 1]]]},
+        {"generators": 1, "relations": [[[False], [1]]]},
+        {"generators": 1.0},
+    ],
+)
+def test_a_malformed_presentation_is_refused(doc):
+    with pytest.raises(ValueError):
+        MonoidPresentation.from_json(doc)
+
+
+def test_a_presentation_keeps_its_relations_exactly():
+    doc = {"generators": 2, "relations": [[[2, 0], [0, 1]]]}
+    pres = MonoidPresentation.from_json(doc)
+    assert pres == PAIR_UP
+    assert pres.to_json() == doc
+
+
 def test_addition_and_scaling():
     a = FREE2.element((1, 2))
     b = FREE2.element((3, 0))

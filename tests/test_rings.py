@@ -1,5 +1,6 @@
 """Ring arithmetic, descriptors, and element-level structure queries."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from ringlab import (
     BivariatePolynomialRing,
+    BudgetExceeded,
     CornerRing,
     IntegerRing,
     ModularRing,
@@ -62,12 +64,41 @@ def test_prime_field_requires_prime():
     assert not Z6.is_field
 
 
+def test_prime_field_counts_its_trial_divisors_against_the_search_budget(monkeypatch):
+    with pytest.raises(BudgetExceeded) as info:
+        PrimeField(1000000000000000003)
+    assert str(info.value) == (
+        "499999999 trial divisors exceed the search budget 1000000"
+    )
+    # 97 and 101 need the 4 odd divisors 3..9, 127 needs 5
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "4")
+    assert PrimeField(97).modulus == 97 and PrimeField(101).modulus == 101
+    with pytest.raises(BudgetExceeded, match="^5 trial divisors exceed"):
+        PrimeField(127)
+
+
 def test_polynomial_trims_trailing_zeros():
     r = PolynomialRing(F5)
     assert r.make([1, 2, 0, 0]).literal() == [1, 2]
     assert r.make([0]).is_zero()
     assert r.degree(r.make([1, 2])) == 1
     assert r.degree(r.zero()) == -1
+
+
+@pytest.mark.parametrize("base", [Z4, PrimeField(3)])
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+def test_elements_up_to_degree_order(base, max_degree):
+    # zero, then by degree, then coefficient tuples (constant term first)
+    # lexicographically in base enumeration order
+    ring = PolynomialRing(base)
+    order = {e.payload: i for i, e in enumerate(base.elements())}
+    every = {
+        ring.make(list(coeffs)).payload
+        for coeffs in itertools.product(order, repeat=max_degree + 1)
+    }
+    expected = sorted(every, key=lambda p: (len(p), [order[c] for c in p]))
+    got = [e.payload for e in ring.elements_up_to_degree(max_degree)]
+    assert got == expected
 
 
 def test_polynomial_gen_and_arithmetic():
@@ -136,6 +167,15 @@ def test_descriptor_rejects_garbage():
                 "modular(5) extra"):
         with pytest.raises(ValueError):
             parse_ring(bad)
+
+
+def test_descriptor_nesting_is_capped():
+    ring = parse_ring("poly(" * 32 + "integers" + ")" * 32)
+    assert ring.descriptor().count("poly(") == 32
+    with pytest.raises(ValueError, match="rings nest deeper than 32 constructors"):
+        parse_ring("poly(" * 33 + "integers" + ")" * 33)
+    with pytest.raises(ValueError, match="rings nest deeper than 32 constructors"):
+        parse_ring("trivial(" * 3000 + "integers" + ")" * 3000)
 
 
 # ---------------------------------------------------------------------------
