@@ -83,9 +83,7 @@ def _degree_tools(ring: Ring):
     )
 
 
-def bounded_principality_check(
-    generators: Sequence[RingElement], bound: int, budget: int | None = None
-):
+def bounded_principality_check(generators: Sequence[RingElement], bound: int):
     """Search for one element generating the same ideal as ``generators``,
     all degrees capped at ``bound``.
 
@@ -133,7 +131,7 @@ def bounded_principality_check(
                 f"generator {f.literal()} exceeds the degree bound {bound}"
             )
     check_search_power(
-        q, box_exponent(bound) * len(generators), "cofactor combinations", budget
+        q, box_exponent(bound) * len(generators), "cofactor combinations"
     )
     candidates = [h.payload for h in enumerate_up_to(bound)]
     add, mul, zero = ring._add, ring._mul, ring._zero()

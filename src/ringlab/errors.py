@@ -14,9 +14,11 @@ carrier points of ``free_module``, ``to_finite_module`` and
 combinations and column pairs (the counterexample searches), candidate
 matrices (brute-force regularity), candidate generator images
 (``find_module_isomorphism``), the trial divisors of the primality test
-behind ``gf(p)``, and the module pairs, candidate pairs, unit combinations
-and small matrices of ``verify`` and ``check-cancellation``.  A caller's
-``budget=`` replaces either cap for one call.
+behind ``gf(p)``, the element pairs of the Jacobson radical, and the module
+pairs, candidate pairs, unit combinations and small matrices of ``verify``
+and ``check-cancellation``.  Neither cap is set per call: the element cap
+is ``DEFAULT_ELEMENT_BUDGET`` and the search cap is
+``RINGLAB_SEARCH_BUDGET`` or ``DEFAULT_SEARCH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -47,21 +49,13 @@ class BudgetExceeded(RinglabError):
     """
 
 
-def element_budget(override: int | None = None) -> int:
+def element_budget() -> int:
     """Cap on the cardinality of rings that exhaustive operations enumerate."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("element budget must be positive")
-        return override
     return DEFAULT_ELEMENT_BUDGET
 
 
-def search_budget(override: int | None = None) -> int:
+def search_budget() -> int:
     """Cap on candidate searches, overridable via RINGLAB_SEARCH_BUDGET."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("search budget must be positive")
-        return override
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is not None:
         try:
@@ -74,28 +68,26 @@ def search_budget(override: int | None = None) -> int:
     return DEFAULT_SEARCH_BUDGET
 
 
-def check_element_budget(count: int, what: str, budget: int | None = None) -> None:
+def check_element_budget(count: int, what: str) -> None:
     """Refuse to enumerate ``count`` ``what`` past the element budget."""
-    cap = element_budget(budget)
+    cap = element_budget()
     if count > cap:
         raise BudgetExceeded(f"{count} {what} exceed the element budget {cap}")
 
 
-def check_search_budget(count: int, what: str, budget: int | None = None) -> None:
+def check_search_budget(count: int, what: str) -> None:
     """Refuse a search over ``count`` ``what`` past the search budget."""
-    cap = search_budget(budget)
+    cap = search_budget()
     if count > cap:
         raise BudgetExceeded(f"{count} {what} exceed the search budget {cap}")
 
 
-def check_search_power(
-    base: int, exponent: int, what: str, budget: int | None = None
-) -> None:
+def check_search_power(base: int, exponent: int, what: str) -> None:
     """:func:`check_search_budget` for a search over ``base ** exponent``
     ``what``.  The count is built only when it has at most four times the
     cap's bits; a larger one is refused as the power itself, so neither the
     decision nor the message grows with the exponent."""
-    cap = search_budget(budget)
+    cap = search_budget()
     if exponent * (base.bit_length() - 1) > 2 * cap.bit_length():
         raise BudgetExceeded(f"{base}^{exponent} {what} exceed the search budget {cap}")
-    check_search_budget(base ** exponent, what, cap)
+    check_search_budget(base ** exponent, what)

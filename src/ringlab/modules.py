@@ -258,12 +258,12 @@ def _tuple_rules(ring: Ring) -> tuple[Callable, Callable]:
     return add, scale
 
 
-def free_module(ring: Ring, rank: int, budget: int | None = None) -> FiniteModule:
+def free_module(ring: Ring, rank: int) -> FiniteModule:
     """R^rank with points stored as payload tuples."""
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     payloads = [e.payload for e in ring.elements()]
-    check_element_budget(len(payloads) ** rank, "carrier points", budget)
+    check_element_budget(len(payloads) ** rank, "carrier points")
     points = list(itertools.product(payloads, repeat=rank))
     zero = (ring._zero(),) * rank
     return _LibraryModule(ring, points, zero, *_tuple_rules(ring), f"R^{rank}")
@@ -379,12 +379,10 @@ def free_projective(ring: Ring, rank: int) -> ProjectiveModule:
     return ProjectiveModule(ring, basis, (rank,) * len(basis))
 
 
-def to_finite_module(
-    module: ProjectiveModule, budget: int | None = None
-) -> FiniteModule:
+def to_finite_module(module: ProjectiveModule) -> FiniteModule:
     """Expand the multiplicity form into an explicit carrier of slot tuples."""
     ring = module.ring
-    check_element_budget(module.carrier_cardinality(), "carrier points", budget)
+    check_element_budget(module.carrier_cardinality(), "carrier points")
     slot_domains: list[list[Any]] = []
     for e, t in zip(module.basis.elements, module.multiplicities):
         slot_domains.extend([_principal_ideal(e)] * t)
@@ -407,9 +405,7 @@ def projective_monoid(ring: Ring) -> tuple[MonoidPresentation, IdempotentBasis]:
 # isomorphism testing
 
 
-def find_module_isomorphism(
-    left: FiniteModule, right: FiniteModule, budget: int | None = None
-) -> Optional[dict]:
+def find_module_isomorphism(left: FiniteModule, right: FiniteModule) -> Optional[dict]:
     """An explicit isomorphism as a point map, or None.
 
     The modules must have equal size and equal annihilators (each
@@ -449,7 +445,7 @@ def find_module_isomorphism(
             return None
         candidates.append(options)
         total *= len(options)
-    check_search_budget(total, "candidate generator images", budget)
+    check_search_budget(total, "candidate generator images")
 
     def extend(
         mapping: dict, taken: set, g: Any, image: Any
@@ -657,9 +653,7 @@ def localize_at_element(
 # kernels, images, cokernels
 
 
-def kernel_image_cokernel(
-    f: RingMatrix, budget: int | None = None
-) -> tuple[FiniteModule, FiniteModule, FiniteModule]:
+def kernel_image_cokernel(f: RingMatrix) -> tuple[FiniteModule, FiniteModule, FiniteModule]:
     """Explicit ker, im, coker of the action x -> f x on column tuples, with
     the cardinality identity |ker| * |im| = |R|^cols asserted.  The images
     come from one product f @ X, the columns of X the domain points in
@@ -669,7 +663,7 @@ def kernel_image_cokernel(
         raise UnsupportedRing("kernel enumeration needs a finite ring")
     payloads = [e.payload for e in ring.elements()]
     size = len(payloads)
-    check_element_budget(size ** max(f.cols, f.rows), "carrier points", budget)
+    check_element_budget(size ** max(f.cols, f.rows), "carrier points")
     zero_domain = (ring._zero(),) * f.cols
     zero_codomain = (ring._zero(),) * f.rows
     add, scale = _tuple_rules(ring)
@@ -684,7 +678,7 @@ def kernel_image_cokernel(
     image = _LibraryModule(ring, image_points, zero_codomain, add, scale, "im(f)")
     if len(kernel) * len(image) != size ** f.cols:
         raise AssertionError("|ker|*|im| != |R|^n; enumeration is broken")
-    coker = _quotient_module(free_module(ring, f.rows, budget), image_points, "coker(f)")
+    coker = _quotient_module(free_module(ring, f.rows), image_points, "coker(f)")
     return kernel, image, coker
 
 
@@ -1033,7 +1027,7 @@ class _SmallShapeSweep:
     bad: Optional[RingMatrix]
 
 
-def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
+def _small_shape_sweep(ring: Ring) -> _SmallShapeSweep:
     """Reduce each matrix of the shapes 1x1, 1x2, 2x1 (2x2 when |R|^4 fits
     the element budget) on bare payload tuples, and count the regular ones
     (all diagonal payloads of D regular).
@@ -1052,7 +1046,7 @@ def _small_shape_sweep(ring: Ring, budget: int | None) -> _SmallShapeSweep:
     matrix is wrapped as a ``RingMatrix``."""
     size = ring.cardinality()
     shapes = [(1, 1), (1, 2), (2, 1)]
-    if size ** 4 <= element_budget(budget):
+    if size ** 4 <= element_budget():
         shapes.append((2, 2))
     check_search_budget(sum(size ** (r * c) for r, c in shapes), "small matrices")
     radical, quotient, project = jacobson_radical_and_quotient(ring)
@@ -1145,15 +1139,13 @@ def cancellation_and_reduction_verify(ring: Ring, bound: int) -> VerifierReport:
     _require_verify_ring(ring)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    return _cancellation_report(ring, bound, _small_shape_sweep(ring, None))
+    return _cancellation_report(ring, bound, _small_shape_sweep(ring))
 
 
-def _jacobson_report(
-    ring: Ring, sweep: _SmallShapeSweep, budget: int | None
-) -> VerifierReport:
+def _jacobson_report(ring: Ring, sweep: _SmallShapeSweep) -> VerifierReport:
     quotient, bad = sweep.quotient, sweep.bad
     # with J(R) = 0 the quotient has the ring's payloads and operations
-    over_q = sweep if len(sweep.radical) == 1 else _small_shape_sweep(quotient, budget)
+    over_q = sweep if len(sweep.radical) == 1 else _small_shape_sweep(quotient)
     outcome = (
         "all reduced and projected"
         if bad is None
@@ -1183,12 +1175,12 @@ def _jacobson_report(
     )
 
 
-def jacobson_lift_verify(ring: Ring, budget: int | None = None) -> VerifierReport:
+def jacobson_lift_verify(ring: Ring) -> VerifierReport:
     """Reduction lifts through the radical: every small regular matrix over
     R/J(R) reduces, every one over R reduces, and each reduction over R
     projects to a reduction over R/J(R)."""
     _require_verify_ring(ring)
-    return _jacobson_report(ring, _small_shape_sweep(ring, budget), budget)
+    return _jacobson_report(ring, _small_shape_sweep(ring))
 
 
 def verify_suite(
@@ -1202,12 +1194,12 @@ def verify_suite(
     gens = tuple(generators)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    sweep = _small_shape_sweep(ring, None)
+    sweep = _small_shape_sweep(ring)
     return [
         refinement_verify(ring, 100, bound),
         local_global_verify(ring, bound),
         partition_of_unity_verify(ring, gens, min(bound, 2)),
         _cancellation_report(ring, bound, sweep),
-        _jacobson_report(ring, sweep, None),
+        _jacobson_report(ring, sweep),
         decomposition_verify(ring),
     ]

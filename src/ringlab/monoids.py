@@ -29,7 +29,11 @@ class EqResult(enum.Enum):
 
 
 def _vector(values: Iterable[int], length: int | None = None) -> tuple[int, ...]:
-    vec = tuple(int(v) for v in values)
+    """The exponents as given: each an int (bools and floats refused, never
+    truncated)."""
+    vec = tuple(values)
+    if not all(type(v) is int for v in vec):
+        vec = tuple(map(_check_int, vec))
     if any(v < 0 for v in vec):
         raise ValueError(f"exponents must be nonnegative, got {vec}")
     if length is not None and len(vec) != length:
@@ -38,11 +42,10 @@ def _vector(values: Iterable[int], length: int | None = None) -> tuple[int, ...]
 
 
 def _relation_side(side: object, length: int) -> tuple[int, ...]:
-    """One side of a relation as given: a list of ``length`` int exponents
-    (bools and floats refused, never truncated)."""
+    """One side of a relation: a list of ``length`` exponents."""
     if not isinstance(side, (list, tuple)) or len(side) != length:
         raise ValueError(f"expected a relation side of {length} exponents, got {side!r}")
-    return _vector([_check_int(v) for v in side])
+    return _vector(side)
 
 
 @dataclass(frozen=True)
@@ -255,9 +258,9 @@ def refine(
         return RefinementWitness(
             pres.element(z11), pres.element(z12), pres.element(z21), pres.element(z22)
         )
-    box = [tuple(reversed(range(bound + 1)))] * k  # descending per coordinate
-    candidates = list(itertools.product(*box))
-    ascending = list(itertools.product(*([tuple(range(bound + 1))] * k)))
+    # the (bound+1)^k boxes are walked lazily, a fresh product per loop,
+    # so the budget can stop the search before any box is built
+    descending, ascending = range(bound, -1, -1), range(bound + 1)
     # the loops stop early on each failed test, so the budget counts tests as
     # they run rather than the (bound+1)^(4k) grids of the box
     tests = itertools.count(1)
@@ -266,17 +269,17 @@ def refine(
         check_search_budget(next(tests), "word-problem tests")
         return normalize_and_eq(a, b, bound) == EqResult.EQUAL
 
-    for z11 in candidates:
+    for z11 in itertools.product(descending, repeat=k):
         e11 = pres.element(z11)
-        for z12 in ascending:
+        for z12 in itertools.product(ascending, repeat=k):
             e12 = pres.element(z12)
             if not equal(e11 + e12, x1):
                 continue
-            for z21 in ascending:
+            for z21 in itertools.product(ascending, repeat=k):
                 e21 = pres.element(z21)
                 if not equal(e11 + e21, y1):
                     continue
-                for z22 in ascending:
+                for z22 in itertools.product(ascending, repeat=k):
                     e22 = pres.element(z22)
                     if equal(e21 + e22, x2) and equal(e12 + e22, y2):
                         return RefinementWitness(e11, e12, e21, e22)

@@ -1393,6 +1393,8 @@ def jacobson_radical_and_quotient(
     if not ring.is_finite():
         raise UnsupportedRing("the radical is computed for finite rings only")
     elements = ring.elements()
+    # the radical's unit test and the projection check each walk every pair
+    check_search_budget(len(elements) ** 2, "element pairs")
     one = ring.one()
     radical = tuple(
         a for a in elements if all(is_unit(one - r * a) for r in elements)

@@ -265,10 +265,13 @@ def test_criterion_8_decomposition_of_regular_elements():
     _stamp(8, "ann(d) + dR = R and R/dR + dR = R", 10.0, started, failures)
 
 
-def test_criterion_9_jacobson_radical_and_lift():
+def test_criterion_9_jacobson_radical_and_lift(monkeypatch):
     started = time.perf_counter()
     failures = []
-    for n in (4, 8, 9):
+    # the element cap is raised to n^4, so every ring also sweeps its 2x2
+    # matrices (Z/9 alone checks 273 matrices at the default cap)
+    for n, checked in ((4, 318), (8, 4258), (9, 6834)):
+        monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", n**4)
         ring = ModularRing(n)
         radical, quotient, _ = jacobson_radical_and_quotient(ring)
         one = ring.one()
@@ -279,9 +282,9 @@ def test_criterion_9_jacobson_radical_and_lift():
         }
         if {a.payload for a in radical} != oracle:
             failures.append((n, "radical", sorted(oracle)))
-        report = jacobson_lift_verify(ring, budget=n**4)
-        if not report.holds or report.checked == 0:
-            failures.append((n, "lift", report.counterexample))
+        report = jacobson_lift_verify(ring)
+        if not report.holds or report.checked != checked:
+            failures.append((n, "lift", report.checked, report.counterexample))
         if quotient.descriptor() not in " ".join(report.details):
             failures.append((n, "quotient", quotient.descriptor()))
     _stamp(9, "J(R) matches unit criterion, reductions lift", 10.0, started, failures)

@@ -16,13 +16,19 @@ import ringlab.matrices
 import ringlab.modules
 from ringlab import (
     BudgetExceeded,
+    IntegerRing,
     ModularRing,
+    PolynomialRing,
+    RingMatrix,
+    TrivialExtensionRing,
     VerifierReport,
+    bounded_principality_check,
     cancellation_and_reduction_verify,
     jacobson_lift_verify,
     jacobson_radical_and_quotient,
     local_global_verify,
     partition_of_unity_verify,
+    trivial_extension_hermite_search,
 )
 from ringlab.cli import main
 
@@ -645,6 +651,41 @@ def test_verify_reports_a_failed_decomposition(capsys, monkeypatch):
     )
 
 
+def _fail_index_at_three(monkeypatch):
+    original = ringlab.modules.module_iso
+    monkeypatch.setattr(
+        "ringlab.modules.module_iso",
+        lambda left, right: getattr(left, "label", None) != "ann(3)(+)3R"
+        and original(left, right),
+    )
+
+
+def _swap_kernel_and_image_at_three(monkeypatch):
+    original = ringlab.modules.kernel_image_cokernel
+
+    def swapped(f):
+        kernel, image, coker = original(f)
+        if f.entry(0, 0).literal() == 3:
+            return image, kernel, coker
+        return kernel, image, coker
+
+    monkeypatch.setattr("ringlab.modules.kernel_image_cokernel", swapped)
+
+
+# faults below the refinement check itself, not a stub of it: each must come
+# back as a violation (exit 1) naming the element, never as an internal error
+@pytest.mark.parametrize("inject", [_fail_index_at_three, _swap_kernel_and_image_at_three])
+def test_verify_reports_a_fault_inside_the_refinement_check(capsys, monkeypatch, inject):
+    inject(monkeypatch)
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
+    assert code == 1
+    assert out.endswith(
+        "check=decomposition instance=modular(6) regular 1x1 verdict=violated checked=6\n"
+        "  counterexample: diagonal refinement fails for [a] with a in [3]\n"
+        "result=violation\n"
+    )
+
+
 def test_verify_reports_a_wrong_projection(capsys, monkeypatch):
     radical, quotient, _ = jacobson_radical_and_quotient(ModularRing(4))
     wrong = lambda a: quotient.zero()  # sends every unit to 0
@@ -859,6 +900,48 @@ def test_counterexample_ex34(capsys):
     assert "column_pairs_examined=6561" in out
 
 
+# A search that finds what it looks for refutes the claimed counterexample.
+# The finds below are real, verified witnesses for other instances, put in
+# place of the searches.
+
+
+def test_counterexample_prints_a_principal_witness(capsys, monkeypatch):
+    ring = PolynomialRing(ModularRing(4))
+    x = ring.gen()
+    witness = bounded_principality_check([x, x * x], 2)  # (X, X^2) = (X)
+    monkeypatch.setattr(
+        "ringlab.cli.bounded_principality_check", lambda generators, bound: witness
+    )
+    assert run(capsys, "counterexample", "ex31") == (
+        1,
+        "instance=poly(modular(4), bound=3) ideal=(2, X) degree<=3\n"
+        "verdict=principal\n"
+        "generator=[0, 1]\n"
+        "cofactor[0]=[1]\n"
+        "cofactor[1]=[0, 1]\n"
+        "combination[0]=[1]\n"
+        "combination[1]=[]\n"
+        "note: the claimed counterexample is refuted by this witness\n",
+    )
+
+
+def test_counterexample_prints_a_found_reduction(capsys, monkeypatch):
+    ring = TrivialExtensionRing(IntegerRing())
+    row = RingMatrix.from_rows(ring, [[(1, 0), (0, 1)]])  # (1, e) reduces
+    report = trivial_extension_hermite_search(row, 1)
+    monkeypatch.setattr(
+        "ringlab.cli.trivial_extension_hermite_search", lambda height: report
+    )
+    assert run(capsys, "counterexample", "ex34") == (
+        1,
+        "instance=trivial(integers) row=(2, e) height<=1\n"
+        "column_pairs_examined=2674\n"
+        "verdict=reduction-found\n"
+        "reduction found: d = [-1, -2], Q = [[-1, -1], [0, -1], [-1, -1], [1, -1]]\n"
+        "note: the claimed counterexample is refuted by this transform\n",
+    )
+
+
 def test_counterexample_ex34_budget(capsys):
     code, out = run(capsys, "counterexample", "ex34", "--height", "5")
     assert code == 2
@@ -983,6 +1066,17 @@ def test_an_over_nested_element_literal_is_an_input_error(capsys):
 def test_a_malformed_monoid_is_refused(capsys, command, monoid, message):
     code, out = run(capsys, command[0], "--monoid", monoid, *command[1:])
     assert (code, out) == (3, f"input error: {message}\n")
+
+
+def test_a_large_ring_exhausts_the_radical_pair_budget(capsys):
+    # 2048^2 element pairs: refused before the radical's pair loops run
+    code, out = run(
+        capsys, "localize", "--ring", "modular(2048)", "--module", "1", "--at-maximal", "0"
+    )
+    assert (code, out) == (
+        2,
+        "exhausted: 4194304 element pairs exceed the search budget 1000000\n",
+    )
 
 
 def test_a_huge_prime_field_exhausts_the_trial_division_budget(capsys):

@@ -514,17 +514,20 @@ def test_differential_cases_include_nontrivial_witnesses():
 # the budget counts nominal cofactor combinations
 
 
-def test_budget_one_below_the_combination_count_raises():
+def test_budget_one_below_the_combination_count_raises(monkeypatch):
     # 256 candidates of degree <= 3 over Z/4, two generators: 256**2 = 65536
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "65535")
     with pytest.raises(BudgetExceeded) as info:
-        bounded_principality_check([Z4X.make(2), Z4X.gen()], 3, budget=65535)
+        bounded_principality_check([Z4X.make(2), Z4X.gen()], 3)
     assert str(info.value) == (
         "65536 cofactor combinations exceed the search budget 65535"
     )
 
 
-def test_budget_equal_to_the_combination_count_runs():
+def test_budget_equal_to_the_combination_count_runs(monkeypatch):
     generators = [Z4X.make(2), Z4X.gen()]
-    verdict = bounded_principality_check(generators, 3, budget=65536)
+    with monkeypatch.context() as patch:
+        patch.setenv("RINGLAB_SEARCH_BUDGET", "65536")
+        verdict = bounded_principality_check(generators, 3)
     assert verdict == bounded_principality_check(generators, 3)
     assert verdict == NotPrincipalUpTo(3, 127)

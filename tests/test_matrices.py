@@ -26,18 +26,21 @@ from ringlab import (
     QuotientRing,
     RingMatrix,
     TrivialExtensionRing,
+    UnsupportedRing,
     diagonal_reduction,
     elementary_divisor_chain_check,
     is_regular_matrix,
     is_total_divisor,
     matrix_from_document,
     matrix_to_document,
+    parse_ring,
     reduce_matrix,
     reduction_to_document,
     smith_normal_form,
     verify_reduction,
 )
 from ringlab.matrices import _brute_regularity, _reduction_holds
+from ringlab.rings import _principal_ideal
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -427,6 +430,24 @@ def test_modular_total_divisor_matches_enumeration(n):
         multiples = {(a * r) % n for r in range(n)}
         for b in range(n):
             assert is_total_divisor(ring.make(a), ring.make(b)) == (b in multiples), (a, b)
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["product(modular(2), modular(3))", "trivial(modular(2))"]
+)
+def test_total_divisor_off_euclidean_rings_matches_the_principal_ideal(descriptor):
+    ring = parse_ring(descriptor)
+    for a in ring.elements():
+        ideal = set(_principal_ideal(a))
+        for b in ring.elements():
+            assert is_total_divisor(a, b) == (b.payload in ideal), (a, b)
+
+
+def test_total_divisor_over_an_infinite_non_euclidean_ring_is_refused():
+    ring = parse_ring("poly(integers)")
+    with pytest.raises(UnsupportedRing) as info:
+        is_total_divisor(ring.gen(), ring.one())
+    assert str(info.value) == "divisibility is undecidable here over poly(integers)"
 
 
 def _diag_reduction(ring, diag):

@@ -174,10 +174,12 @@ def test_non_isomorphic_same_size_same_annihilator():
     assert find_module_isomorphism(left, right) is None
 
 
-def test_isomorphism_search_budget():
+def test_isomorphism_search_budget(monkeypatch):
     left = direct_sum(ring_module(Z4), ring_module(Z4))
-    with pytest.raises(BudgetExceeded):
-        find_module_isomorphism(left, left, budget=1)
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "1")
+    with pytest.raises(BudgetExceeded) as info:
+        find_module_isomorphism(left, left)
+    assert str(info.value) == "256 candidate generator images exceed the search budget 1"
 
 
 def test_isomorphism_needs_common_ring():
@@ -365,11 +367,14 @@ def test_projective_iso_rejects_reordered_basis():
         module_iso(projective_module(Z6, (2, 1)), reordered)
 
 
-def test_projective_expands_to_explicit_carrier():
+def test_projective_expands_to_explicit_carrier(monkeypatch):
     m = to_finite_module(projective_module(Z6, (2, 1)))
     assert len(m) == 12
-    with pytest.raises(BudgetExceeded):
-        to_finite_module(free_projective(Z6, 2), budget=10)
+    module = free_projective(Z6, 2)
+    monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded) as info:
+        to_finite_module(module)
+    assert str(info.value) == "36 carrier points exceed the element budget 10"
 
 
 def test_mixed_iso_crosses_representations():
@@ -523,10 +528,12 @@ def test_kernel_image_cokernel_of_diagonal():
     assert len(coker) == 6
 
 
-def test_kernel_budget():
+def test_kernel_budget(monkeypatch):
     f = RingMatrix.from_rows(Z6, [[1, 0], [0, 1]])
-    with pytest.raises(BudgetExceeded):
-        kernel_image_cokernel(f, budget=10)
+    monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded) as info:
+        kernel_image_cokernel(f)
+    assert str(info.value) == "36 carrier points exceed the element budget 10"
 
 
 def _reference_kernel_image_cokernel(f):
@@ -762,6 +769,66 @@ def test_diagonal_refinement_requires_finite_ring():
         diagonal_refinement_check(f)
 
 
+# Faults injected below the refinement check: its own report paths must
+# name the failing instance, and decomposition_verify must name the element.
+
+
+def test_diagonal_refinement_reports_a_failed_index(monkeypatch):
+    original = ringlab.modules.module_iso
+    monkeypatch.setattr(
+        "ringlab.modules.module_iso",
+        lambda left, right: getattr(left, "label", None) != "ann(3)(+)3R"
+        and original(left, right),
+    )
+    report = diagonal_refinement_check(RingMatrix.from_rows(Z6, [[3]]))
+    assert not report.holds
+    assert report.lines() == [
+        "check=diagonal-refinement instance=modular(6) 1x1 verdict=violated checked=2",
+        "  j=1 d=3 ann(+)dR=FAIL quot(+)dR=ok",
+        "  counterexample: index 1, entry 3",
+    ]
+    report = decomposition_verify(Z6)
+    assert not report.holds
+    assert report.counterexample == "diagonal refinement fails for [a] with a in [3]"
+
+
+def test_diagonal_refinement_reports_a_cardinality_mismatch(monkeypatch):
+    original = ringlab.modules.kernel_image_cokernel
+
+    def swapped_at_three(f):
+        kernel, image, coker = original(f)
+        if f.entry(0, 0).literal() == 3:
+            return image, kernel, coker
+        return kernel, image, coker
+
+    monkeypatch.setattr("ringlab.modules.kernel_image_cokernel", swapped_at_three)
+    report = diagonal_refinement_check(RingMatrix.from_rows(Z6, [[3]]))
+    assert not report.holds
+    assert report.lines() == [
+        "check=diagonal-refinement instance=modular(6) 1x1 verdict=violated checked=3",
+        "  j=1 d=3 ann(+)dR=ok quot(+)dR=ok",
+        "  counterexample: cardinalities ker/im/coker = 2/3/3, expected 3/2/3",
+    ]
+    report = decomposition_verify(Z6)
+    assert not report.holds
+    assert report.counterexample == "diagonal refinement fails for [a] with a in [3]"
+
+
+def test_diagonal_refinement_skips_the_cross_check_past_the_element_budget(
+    monkeypatch,
+):
+    # 6^2 carrier points pass a cap of 10; the per-index checks still run
+    monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", 10)
+    report = diagonal_refinement_check(RingMatrix.diagonal(Z6, [Z6.make(3), Z6.make(4)]))
+    assert report.holds
+    assert report.lines() == [
+        "check=diagonal-refinement instance=modular(6) 2x2 verdict=holds checked=4",
+        "  j=1 d=1 ann(+)dR=ok quot(+)dR=ok",
+        "  j=2 d=0 ann(+)dR=ok quot(+)dR=ok",
+        "  cardinality cross-check skipped (carrier over budget)",
+    ]
+
+
 def test_cancellation_and_reduction_verify_z4():
     report = cancellation_and_reduction_verify(Z4, 2)
     assert report.holds
@@ -821,7 +888,7 @@ def test_sweep_sections_match_recorded_output(descriptor):
 def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
     # Z/4 has J(R) = {0, 2}, so every regular reduction is also projected
     ring = ModularRing(4)
-    _small_shape_sweep(ring, None)  # warm the element and radical caches
+    _small_shape_sweep(ring)  # warm the element and radical caches
     built = []
     init = RingElement.__init__
 
@@ -830,17 +897,17 @@ def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RingElement, "__init__", counting_init)
-    sweep = _small_shape_sweep(ring, None)
+    sweep = _small_shape_sweep(ring)
     assert sweep.seen == 292
     assert len(built) < sweep.seen
 
 
-def _direct_sweep(ring, budget):
+def _direct_sweep(ring):
     """The small-shape sweep's counts, notes and first failed projection
     from one direct ``_reduce_payloads`` per matrix over R: the oracle of
     the sweep that eliminates over each CRT factor and joins the witnesses."""
     shapes = [(1, 1), (1, 2), (2, 1)]
-    if ring.cardinality() ** 4 <= element_budget(budget):
+    if ring.cardinality() ** 4 <= element_budget():
         shapes.append((2, 2))
     radical, quotient, project = ringlab.modules.jacobson_radical_and_quotient(ring)
     payloads = [a.payload for a in ring.elements()]
@@ -867,27 +934,33 @@ def _direct_sweep(ring, budget):
     return seen, regular_count, tuple(notes), bad
 
 
-def _sweep_with_recorded_checks(monkeypatch, ring, budget):
+def _sweep_with_recorded_checks(monkeypatch, ring):
     """The sweep, and the arguments of every payload check it makes over R."""
     checks = []
     with monkeypatch.context() as patch:
         patch.setattr(
             "ringlab.matrices._reduction_holds", lambda *args: checks.append(args) or True
         )
-        sweep = _small_shape_sweep(ring, budget)
+        sweep = _small_shape_sweep(ring)
     return sweep, checks
 
 
 @pytest.mark.parametrize(
-    "descriptor, budget",
+    "descriptor, element_cap",
     [(f"modular({n})", None) for n in (4, 6, 8, 9, 10, 12, 30, 36, 60)]
     + [("gf(5)", None)]
     + [(f"modular({n})", n**4) for n in (4, 8, 9)],
 )
-def test_split_sweep_matches_a_direct_reduction_per_matrix(monkeypatch, descriptor, budget):
+def test_split_sweep_matches_a_direct_reduction_per_matrix(
+    monkeypatch, descriptor, element_cap
+):
     ring = parse_ring(descriptor)
-    sweep, checks = _sweep_with_recorded_checks(monkeypatch, ring, budget)
-    assert (sweep.seen, sweep.regular, sweep.notes, sweep.bad) == _direct_sweep(ring, budget)
+    if element_cap is not None:
+        # n^4 raises the cap over Z/9 and lowers it to |R|^4 over Z/4: both
+        # sides of the 2x2 rule at its edge
+        monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", element_cap)
+    sweep, checks = _sweep_with_recorded_checks(monkeypatch, ring)
+    assert (sweep.seen, sweep.regular, sweep.notes, sweep.bad) == _direct_sweep(ring)
     # every matrix over R is checked exactly once, in payload order, and
     # every joined witness is a reduction over R
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)][: len(sweep.notes)]
@@ -908,9 +981,9 @@ def test_split_sweep_reports_the_first_failed_projection(monkeypatch):
         "ringlab.modules.jacobson_radical_and_quotient",
         lambda ring: (radical, quotient, lambda a: quotient.zero()),
     )
-    sweep = _small_shape_sweep(Z12, None)
+    sweep = _small_shape_sweep(Z12)
     assert sweep.bad == RingMatrix.from_rows(Z12, [[0]])
-    assert _direct_sweep(Z12, None)[3] == sweep.bad
+    assert _direct_sweep(Z12)[3] == sweep.bad
 
 
 @pytest.mark.parametrize(

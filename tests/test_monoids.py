@@ -1,5 +1,7 @@
 """Presented commutative monoids: word problem, refinement, cancellation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -174,6 +176,23 @@ def test_refine_counts_presented_word_tests_against_the_search_budget(monkeypatc
     # the free path makes no word-problem test, so the budget does not touch it
     e = FREE1.element
     assert refine(e((5,)), e((5,)), e((5,)), e((5,)), bound=5) is not None
+
+
+def test_refine_walks_its_box_lazily(monkeypatch):
+    # 101^3 candidates per loop: building the box as a list would take
+    # about 100 MB before the budget stops the search at its 11th test
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "10")
+    pres = MonoidPresentation(3, (((1, 0, 0), (0, 1, 0)),))
+    x, y = pres.element((1, 0, 0)), pres.element((0, 0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            refine(x, y, y, x, bound=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "11 word-problem tests exceed the search budget 10"
+    assert peak < 1_000_000
 
 
 def test_refine_uncertifiable_sum_is_budget_error():

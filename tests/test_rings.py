@@ -19,7 +19,9 @@ from ringlab import (
     PrimeField,
     ProductRing,
     QuotientRing,
+    RingElement,
     TrivialExtensionRing,
+    UnsupportedRing,
     bezout_gcd,
     idempotent_power,
     idempotents,
@@ -31,7 +33,7 @@ from ringlab import (
     primitive_idempotent_decomposition,
     try_inverse,
 )
-from ringlab.rings import Ring
+from ringlab.rings import Ring, _is_nilpotent
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -62,6 +64,18 @@ def test_prime_field_requires_prime():
         PrimeField(4)
     assert F5.is_field
     assert not Z6.is_field
+
+
+def test_radical_counts_its_element_pairs_against_the_search_budget(monkeypatch):
+    uncached = jacobson_radical_and_quotient.__wrapped__
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "35")
+    with pytest.raises(BudgetExceeded) as info:
+        uncached(Z6)
+    assert str(info.value) == "36 element pairs exceed the search budget 35"
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "36")
+    radical, quotient, _ = uncached(Z6)
+    assert [a.literal() for a in radical] == [0]
+    assert quotient.descriptor() == "modular(6)"
 
 
 def test_prime_field_counts_its_trial_divisors_against_the_search_budget(monkeypatch):
@@ -193,6 +207,58 @@ def test_try_inverse_matches_exhaustive_search(ring):
         else:
             assert a * inv == one
             assert inv in brute
+
+
+@pytest.mark.parametrize(
+    "descriptor, unit, inverse",
+    [("poly(modular(4))", [1, 2], [1, 2]), ("poly(modular(9))", [1, 3], [1, 6])],
+)
+def test_polynomial_inverse_matches_exhaustive_search(descriptor, unit, inverse):
+    # over Z/p^2 a unit c0 + h has h^2 = 0, so its inverse c0^-1 (1 - h/c0)
+    # keeps its degree and the degree <= 2 box is closed under inverses
+    ring = parse_ring(descriptor)
+    box = [a.payload for a in ring.elements_up_to_degree(2)]
+    one = ring._one()
+    units = 0
+    for a in box:
+        brute = [b for b in box if ring._mul(a, b) == one]
+        inv = try_inverse(RingElement(ring, a))
+        if inv is None:
+            assert brute == [], a
+        else:
+            assert brute == [inv.payload], a
+            units += 1
+    # a unit constant and two nilpotent coefficients
+    p = ring.base.modulus
+    assert units == (p - math.isqrt(p)) * math.isqrt(p) ** 2
+    assert try_inverse(ring.make(unit)) == ring.make(inverse)
+
+
+@pytest.mark.parametrize("ring", [Z4, ModularRing(8), ModularRing(9), Z12, F5])
+def test_nilpotency_matches_the_powers(ring):
+    n = ring.cardinality()
+    for a in ring.elements():
+        assert _is_nilpotent(a) == any((a**k).is_zero() for k in range(1, n + 1)), a
+
+
+def test_nilpotency_off_finite_rings():
+    assert _is_nilpotent(Z.make(0))
+    assert not _is_nilpotent(Z.make(2))
+    with pytest.raises(UnsupportedRing, match="nilpotency test unsupported over poly"):
+        _is_nilpotent(parse_ring("poly(integers)").gen())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bivariate_units_are_the_nonzero_constants(p):
+    ring = BivariatePolynomialRing(PrimeField(p), bound=2)
+    one = ring.one()
+    for a in ring.elements_up_to_total_degree(2):
+        inv = try_inverse(a)
+        if a.is_zero() or ring.total_degree(a) > 0:
+            assert inv is None, a
+        else:
+            assert a * inv == one
+            assert ring.total_degree(inv) == 0
 
 
 def test_integer_units_are_signs():
