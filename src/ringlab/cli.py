@@ -8,9 +8,11 @@ module queries (``localize``, ``iso``), the theorem suite over one ring
 Exit codes: 0 when every check passed, 1 when a property was violated (the
 counterexample payload is printed), 2 when a bound or budget ran out before
 an answer was reached, 3 for input errors, 4 when an internal consistency
-check failed (a bug in ringlab; the message and the arguments are printed).
-Output is line oriented with a stable field order and is byte-identical
-across runs of the same request.
+check failed (a bug in ringlab; the message and the arguments are printed),
+141 when the reader closed stdout before the output was written (the
+shell's status for SIGPIPE; nothing more is printed).  Output is line
+oriented with a stable field order and is byte-identical across runs of the
+same request.
 
 ``main`` parses with one parser per process, built on first use.  Handlers
 and reducers are stored in it by name and looked up in this module when a
@@ -23,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Any, Iterator, Optional, Sequence
 
@@ -66,6 +69,7 @@ from .rings import (
 )
 
 PASS, VIOLATION, EXHAUSTED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
+STDOUT_CLOSED = 141
 
 
 @contextlib.contextmanager
@@ -385,6 +389,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
+        code = _run(argv)
+        # flushed here, a closed stdout is met in this frame and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: print nothing more, and let the exit-time
+        # flush of what is still buffered go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
+    try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; that slot means "bound exhausted" here
@@ -395,6 +412,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"exhausted: {exc}")
         return EXHAUSTED
+    except BrokenPipeError:
+        raise  # a closed stdout, not bad input: ``main`` handles it
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}")
         return INPUT_ERROR

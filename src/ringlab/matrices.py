@@ -42,7 +42,11 @@ transform pairs multiply to the identity, P A Q = D).
 ``verify_reduction`` is its shape and ring checks plus the same payload
 check, and the small-shape sweep of ``ringlab verify`` eliminates over each
 local factor of Z/n and checks each witness it joins over Z/n through
-``_check_reduction``.  A wrapped reduction carries the matrix it was verified
+``_check_reduction``.  The sweep hands the check a set of the transform
+pairs it has already verified over Z/n in that call, so each distinct
+(P, P_inv) and (Q, Q_inv) pair is multiplied out once per sweep; D and
+P A Q = D are checked for every matrix, and every other caller runs the
+full check.  A wrapped reduction carries the matrix it was verified
 against; ``reduction_to_document`` (the output of ``ringlab snf``/``reduce``)
 reports that verify instead of repeating it, and verifies any other pair
 itself.  Every matrix product runs through ``_matmul_payloads``, one ring
@@ -98,6 +102,13 @@ def _rows(flat: Sequence[Any], cols: int) -> list[list[Any]]:
     return [list(flat[i : i + cols]) for i in range(0, len(flat), cols)]
 
 
+def _inverse_pair(ring: Ring, X: Sequence[Any], Xi: Sequence[Any], size: int) -> bool:
+    """Whether the size x size payload matrices X @ Xi multiply to the
+    identity over ``ring``: the identity product of a transform pair."""
+    product = _matmul_payloads(ring, X, Xi, size, size, size)
+    return product == _identity(ring._zero(), ring._one(), size)
+
+
 def _reduction_holds(
     ring: Ring,
     a: Sequence[Any],
@@ -108,19 +119,28 @@ def _reduction_holds(
     Q: Sequence[Any],
     Qi: Sequence[Any],
     D: Sequence[Any],
+    verified: Optional[set] = None,
 ) -> bool:
     """The one payload check of a reduction of the m x n matrix ``a`` over
     ``ring``, all arguments row-major payload tuples of matching shapes: D is
-    diagonal, P @ Pi and Q @ Qi are the identity, and P @ a @ Q == D."""
-    zero, one = ring._zero(), ring._one()
+    diagonal, P @ Pi and Q @ Qi are the identity, and P @ a @ Q == D.
+
+    ``verified`` is None, which checks everything, or a set of (X, X_inv)
+    pairs already found to multiply to the identity over ``ring``: a pair in
+    it skips its identity product, and each pair found here is added.  Only
+    the small-shape sweep passes one, made for one sweep call; D and
+    P @ a @ Q are checked on every call."""
+    zero = ring._zero()
     if any(D[k] != zero for k in range(m * n) if k // n != k % n):
         return False
-    return (
-        _matmul_payloads(ring, P, Pi, m, m, m) == _identity(zero, one, m)
-        and _matmul_payloads(ring, Q, Qi, n, n, n) == _identity(zero, one, n)
-        and _matmul_payloads(ring, _matmul_payloads(ring, P, a, m, m, n), Q, m, n, n)
-        == D
-    )
+    for pair, size in (((P, Pi), m), ((Q, Qi), n)):
+        if verified is not None and pair in verified:
+            continue
+        if not _inverse_pair(ring, *pair, size):
+            return False
+        if verified is not None:
+            verified.add(pair)
+    return _matmul_payloads(ring, _matmul_payloads(ring, P, a, m, m, n), Q, m, n, n) == D
 
 
 def _check_product(a: "RingMatrix", b: "RingMatrix") -> None:
@@ -505,13 +525,18 @@ def _eliminate_payloads(
 
 
 def _check_reduction(
-    ring: Ring, a: Sequence[Any], m: int, n: int, witness: Sequence[Sequence[Any]]
+    ring: Ring,
+    a: Sequence[Any],
+    m: int,
+    n: int,
+    witness: Sequence[Sequence[Any]],
+    verified: Optional[set] = None,
 ) -> None:
     """Raise unless ``witness`` (P, P_inv, Q, Q_inv, D) passes the payload
-    check ``_reduction_holds`` for the m x n matrix ``a`` over ``ring``.  A
-    failure is a bug, so the check raises explicitly and also runs under
-    ``python -O``."""
-    if not _reduction_holds(ring, a, m, n, *witness):
+    check ``_reduction_holds`` for the m x n matrix ``a`` over ``ring``, with
+    its set of ``verified`` transform pairs.  A failure is a bug, so the
+    check raises explicitly and also runs under ``python -O``."""
+    if not _reduction_holds(ring, a, m, n, *witness, verified):
         raise AssertionError("reduction verification failed; this is a bug")
 
 

@@ -1035,15 +1035,19 @@ def _small_shape_sweep(ring: Ring) -> _SmallShapeSweep:
     Z/n is the product of its local factors e_i Z/n = Z/q_i, one per
     primitive idempotent e_i, with q_i = n / gcd(e_i, n) and components
     x -> x mod q_i (CRT).  For each shape the elimination runs once on every
-    matrix over each factor; each matrix over R, in payload order, then gets
-    P, P_inv, Q, Q_inv and D joined entry by entry as sum(e_i * x_i) mod n
-    from its components' witnesses, and the joined witness is checked once
-    over R by ``_check_reduction``, regular or not.  A local ring is one
-    factor with e = 1, so its join is the identity.  Each regular reduction
-    is mapped through the radical, entry by entry, and checked over R/J(R)
-    by the same payload check until one fails; when J(R) = 0 the projection
-    is the identity and would repeat the check just made.  Only a failing
-    matrix is wrapped as a ``RingMatrix``."""
+    matrix over each factor, and each factor's distinct (P, P_inv) and
+    (Q, Q_inv) pairs get an id.  Each matrix over R, in payload order, gets
+    its transform pairs joined entry by entry as sum(e_i * x_i) mod n, once
+    per sweep call for each tuple of factor ids, and its D joined from its
+    components' D.  That witness is checked over R by ``_check_reduction``,
+    regular or not, with one set of verified pairs for the whole call: each
+    distinct pair is multiplied out once, and D and P a Q == D are checked
+    for every matrix.  A local ring is one factor with e = 1, so its join is
+    the identity.  Each regular reduction is mapped through the radical,
+    entry by entry, and checked over R/J(R) by the same payload check, with
+    a set of its own, until one fails; when J(R) = 0 the projection is the
+    identity and would repeat the check just made.  Only a failing matrix is
+    wrapped as a ``RingMatrix``."""
     size = ring.cardinality()
     shapes = [(1, 1), (1, 2), (2, 1)]
     if size ** 4 <= element_budget():
@@ -1057,39 +1061,53 @@ def _small_shape_sweep(ring: Ring) -> _SmallShapeSweep:
     basis = primitive_idempotent_decomposition(ring)
     factors = [(e.payload, ModularRing(n // gcd(e.payload, n))) for e in basis.elements]
     components = {x: tuple([x % f.modulus for _, f in factors]) for x in image}
+    # per factor: each transform pair, flattened and scaled by the
+    # idempotent, mapped to its id (dicts keep ids in insertion order)
+    pair_ids = [{} for _ in factors]
+    # each tuple of factor ids, one per factor, to its pair joined over R
+    joined = {}
+    # the pairs already multiplied out over R, and over R/J(R)
+    verified, projected = set(), set()
     seen = regular_count = 0
     notes = []
     bad = None
     for rows, cols in shapes:
         slots = rows * cols
-        # each factor matrix's witness, flattened and scaled by its idempotent
-        tables = [
-            {
-                combo: tuple(
-                    [e * x for part in _eliminate_payloads(f, combo, rows, cols) for x in part]
+        # each factor matrix's (P pair id, Q pair id, D scaled by e)
+        tables = []
+        for (e, f), ids in zip(factors, pair_ids):
+            table = {}
+            for combo in itertools.product(range(f.modulus), repeat=slots):
+                P, Pi, Q, Qi, D = _eliminate_payloads(f, combo, rows, cols)
+                p_pair = tuple([e * x for x in P + Pi])
+                q_pair = tuple([e * x for x in Q + Qi])
+                table[combo] = (
+                    ids.setdefault(p_pair, len(ids)),
+                    ids.setdefault(q_pair, len(ids)),
+                    tuple([e * x for x in D]),
                 )
-                for combo in itertools.product(range(f.modulus), repeat=slots)
-            }
-            for e, f in factors
-        ]
-        # where P, P_inv, Q, Q_inv and D end in a flattened witness
-        ends = list(itertools.accumulate([rows * rows] * 2 + [cols * cols] * 2 + [slots]))
-        spans = list(zip([0, *ends], ends))
+            tables.append(table)
+        pairs = [list(ids) for ids in pair_ids]
         shape_regular = 0
         # the keys of ``image`` are the ring's payloads in enumeration order
         for combo in itertools.product(image, repeat=slots):
             # one tuple of combo's components per factor, in factor order
             parts = zip(*[components[x] for x in combo])
-            joined = [sum(column) % n for column in zip(*map(dict.__getitem__, tables, parts))]
-            witness = [tuple(joined[start:end]) for start, end in spans]
-            _check_reduction(ring, combo, rows, cols, witness)
-            D = witness[4]
+            p_key, q_key, scaled_D = zip(*map(dict.__getitem__, tables, parts))
+            for key in (p_key, q_key):
+                if key not in joined:
+                    flat = [sum(column) % n for column in zip(*map(list.__getitem__, pairs, key))]
+                    half = len(flat) // 2
+                    joined[key] = (tuple(flat[:half]), tuple(flat[half:]))
+            D = tuple([sum(column) % n for column in zip(*scaled_D)])
+            witness = (*joined[p_key], *joined[q_key], D)
+            _check_reduction(ring, combo, rows, cols, witness, verified)
             if any(D[i * cols + i] not in regular_payloads for i in range(min(rows, cols))):
                 continue
             shape_regular += 1
             if len(radical) > 1 and bad is None:
                 mapped = [tuple([image[p] for p in t]) for t in (combo, *witness)]
-                if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
+                if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:], projected):
                     bad = RingMatrix(ring, rows, cols, combo)
         shape_total = size ** slots
         seen += shape_total

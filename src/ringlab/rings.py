@@ -1361,25 +1361,37 @@ def _radical_int(n: int) -> int:
 
 
 def _verify_projection(ring: Ring, quotient: Ring, project, radical) -> None:
-    elements = ring.elements()
-    image = set()
-    for a in elements:
-        image.add(project(a).payload)
-        for b in elements:
-            if project(a + b) != project(a) + project(b):
+    """Check that ``project`` is a surjective ring map onto ``quotient``
+    whose kernel is the radical.  Each element is projected once; every pair
+    is then added and multiplied on payloads on both sides."""
+    image = {a.payload: project(a).payload for a in ring.elements()}
+    add, mul, q_add, q_mul = ring._add, ring._mul, quotient._add, quotient._mul
+    for a, pa in image.items():
+        for b, pb in image.items():
+            if image[add(a, b)] != q_add(pa, pb):
                 raise AssertionError("projection does not respect addition")
-            if project(a * b) != project(a) * project(b):
+            if image[mul(a, b)] != q_mul(pa, pb):
                 raise AssertionError("projection does not respect multiplication")
     if project(ring.one()) != quotient.one():
         raise AssertionError("projection does not send 1 to 1")
-    if len(image) != quotient.cardinality():
+    if len(set(image.values())) != quotient.cardinality():
         raise AssertionError("projection is not surjective")
-    kernel = {a.payload for a in elements if project(a).is_zero()}
+    zero = quotient._zero()
+    kernel = {a for a, pa in image.items() if pa == zero}
     if kernel != {a.payload for a in radical}:
         raise AssertionError("projection kernel differs from the radical")
 
 
-@lru_cache(maxsize=None)
+def _count_element_pairs(ring: Ring) -> None:
+    """The radical's unit test and its projection check each walk every
+    pair of elements: count them against the search budget.  The cached
+    radical and maximal ideals run this on every call, hit or miss, so a
+    refusal does not depend on what the process computed before."""
+    if not ring.is_finite():
+        raise UnsupportedRing("the radical is computed for finite rings only")
+    check_search_budget(len(ring.elements()) ** 2, "element pairs")
+
+
 def jacobson_radical_and_quotient(
     ring: Ring,
 ) -> tuple[tuple[RingElement, ...], Ring, Callable[[RingElement], RingElement]]:
@@ -1388,16 +1400,26 @@ def jacobson_radical_and_quotient(
 
     For modular rings the quotient is again a modular ring (modulo the
     squarefree part of n); otherwise it is a generic coset-representative
-    quotient.
+    quotient.  The element pairs are counted on every call; the result is
+    cached per ring.
     """
-    if not ring.is_finite():
-        raise UnsupportedRing("the radical is computed for finite rings only")
+    _count_element_pairs(ring)
+    return _radical_and_quotient(ring)
+
+
+@lru_cache(maxsize=None)
+def _radical_and_quotient(
+    ring: Ring,
+) -> tuple[tuple[RingElement, ...], Ring, Callable[[RingElement], RingElement]]:
     elements = ring.elements()
-    # the radical's unit test and the projection check each walk every pair
-    check_search_budget(len(elements) ** 2, "element pairs")
-    one = ring.one()
+    # the unit test on payloads, against the unit set built once
+    units = {a.payload for a in elements if is_unit(a)}
+    payloads = [a.payload for a in elements]
+    add, neg, mul, one = ring._add, ring._neg, ring._mul, ring._one()
     radical = tuple(
-        a for a in elements if all(is_unit(one - r * a) for r in elements)
+        a
+        for a in elements
+        if all(add(one, neg(mul(r, a.payload))) in units for r in payloads)
     )
     if isinstance(ring, ModularRing):
         m = _radical_int(ring.modulus)
@@ -1435,13 +1457,19 @@ def _verify_maximal_ideal(ring: Ring, ideal: frozenset) -> None:
             raise AssertionError("ideal is not maximal")
 
 
-@lru_cache(maxsize=None)
 def maximal_ideals(ring: Ring) -> tuple[frozenset, ...]:
     """One maximal ideal per primitive idempotent: elements whose component
     at that idempotent falls in the radical.  Each ideal is verified to be
-    proper, closed, absorbing, and maximal."""
+    proper, closed, absorbing, and maximal.  Like the radical's, the element
+    pairs are counted on every call and the result is cached per ring."""
+    _count_element_pairs(ring)
+    return _maximal_ideals(ring)
+
+
+@lru_cache(maxsize=None)
+def _maximal_ideals(ring: Ring) -> tuple[frozenset, ...]:
     basis = primitive_idempotent_decomposition(ring)
-    radical, _, _ = jacobson_radical_and_quotient(ring)
+    radical, _, _ = _radical_and_quotient(ring)  # its pairs are counted already
     radical_payloads = {a.payload for a in radical}
     ideals = []
     for e in basis.elements:

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -212,6 +213,32 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out.startswith("internal error: reduction verification failed")
     assert 'argv: ["snf"]' in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--ring", "modular(6)", "--bound", "1"),
+        # an input error's message meets the closed stdout too
+        ("bezout", "--ring", "bogus(1)", "1", "2"),
+    ],
+    ids=["pass", "input-error"],
+)
+def test_a_closed_stdout_exits_141_and_prints_nothing_more(argv):
+    # the pipe's read end is closed before the command starts, so its first
+    # flush meets a broken pipe: that is neither bad input nor a bug
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringlab.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_failed_kernel_check_in_verify_is_an_internal_error(capsys, monkeypatch):
@@ -786,6 +813,94 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"
     lines = proc.stdout.splitlines()
     assert lines[0] == "internal error: reduction verification failed; this is a bug"
     assert lines[-1] == "exit 4"
+
+
+_TAMPERED_INVERSE = """
+import ringlab.matrices, ringlab.modules
+
+def tampered(ring, a, m, n):
+    # one wrong P_inv entry (P itself is right) for the matrix [[1]] over
+    # the factor Z/3 of Z/6
+    P, Pi, Q, Qi, D = ringlab.matrices._eliminate_payloads(ring, a, m, n)
+    if ring.modulus == 3 and tuple(a) == (1,):
+        Pi = ((Pi[0] + 1) % 3,)
+    return P, Pi, Q, Qi, D
+"""
+
+
+def test_a_wrong_factor_inverse_fails_the_joined_check(capsys, monkeypatch):
+    # a transform pair is known by P and P_inv together, so the pair with
+    # the wrong P_inv is a new pair over Z/6 and is multiplied out
+    namespace = {}
+    exec(_TAMPERED_INVERSE, namespace)
+    monkeypatch.setattr("ringlab.modules._eliminate_payloads", namespace["tampered"])
+    code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
+    assert code == 4
+    assert out.splitlines()[0] == "internal error: reduction verification failed; this is a bug"
+
+
+def test_joined_inverse_check_survives_python_O():
+    script = _TAMPERED_INVERSE + """
+ringlab.modules._eliminate_payloads = tampered
+import ringlab.cli
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "internal error: reduction verification failed; this is a bug"
+    assert lines[-1] == "exit 4"
+
+
+@pytest.mark.parametrize(
+    "ring, products",
+    [
+        # 34 distinct pairs among the 1,374 matrices over Z/6, and the 6
+        # regular 1x1 reductions of the decomposition section
+        pytest.param("modular(6)", (34 + 2 * 6, 6), id="modular(6)"),
+        # 79 pairs over Z/12, 43 projected pairs over Z/6, 34 in the
+        # quotient sweep's own call over Z/6, and 9 regular 1x1 reductions
+        pytest.param("modular(12)", (79 + 43 + 34 + 2 * 9, 9), id="modular(12)"),
+        # 361 pairs among the 1,830 matrices over Z/30, 30 regular 1x1
+        pytest.param("modular(30)", (361 + 2 * 30, 30), id="modular(30)"),
+    ],
+)
+def test_verify_multiplies_out_each_distinct_transform_pair_once(
+    capsys, monkeypatch, ring, products
+):
+    # each sweep call keeps one set of verified pairs over R and one over
+    # R/J(R); every check without a set (the decomposition section's
+    # reductions) multiplies out both of its pairs
+    count = full = 0
+    met = {}
+    real_pair = ringlab.matrices._inverse_pair
+    real_holds = ringlab.matrices._reduction_holds
+
+    def counted_pair(*args):
+        nonlocal count
+        count += 1
+        return real_pair(*args)
+
+    def recorded_holds(ring, a, m, n, P, Pi, Q, Qi, D, verified=None):
+        nonlocal full
+        if verified is None:
+            full += 1
+        else:
+            # holding each set keeps its id apart from later sets'
+            met.setdefault(id(verified), (verified, set()))[1].update([(P, Pi), (Q, Qi)])
+        return real_holds(ring, a, m, n, P, Pi, Q, Qi, D, verified)
+
+    monkeypatch.setattr("ringlab.matrices._inverse_pair", counted_pair)
+    monkeypatch.setattr("ringlab.matrices._reduction_holds", recorded_holds)
+    monkeypatch.setattr("ringlab.modules._reduction_holds", recorded_holds)
+    code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
+    assert code == 0
+    assert count == sum(len(pairs) for _, pairs in met.values()) + 2 * full
+    assert (count, full) == products
 
 
 def test_verify_rejects_non_modular(capsys):

@@ -970,7 +970,9 @@ def test_split_sweep_matches_a_direct_reduction_per_matrix(
         for rows, cols in shapes
         for combo in itertools.product(payloads, repeat=rows * cols)
     ]
-    assert all(_reduction_holds(*args) for args in checks)
+    # the oracle re-checks each witness in full, without the sweep's set of
+    # verified transform pairs
+    assert all(_reduction_holds(*args[:9]) for args in checks)
 
 
 def test_split_sweep_reports_the_first_failed_projection(monkeypatch):

@@ -33,7 +33,7 @@ from ringlab import (
     primitive_idempotent_decomposition,
     try_inverse,
 )
-from ringlab.rings import Ring, _is_nilpotent
+from ringlab.rings import Ring, RingElement, _is_nilpotent, _verify_projection
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -67,15 +67,25 @@ def test_prime_field_requires_prime():
 
 
 def test_radical_counts_its_element_pairs_against_the_search_budget(monkeypatch):
-    uncached = jacobson_radical_and_quotient.__wrapped__
     monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "35")
     with pytest.raises(BudgetExceeded) as info:
-        uncached(Z6)
+        jacobson_radical_and_quotient(Z6)
     assert str(info.value) == "36 element pairs exceed the search budget 35"
     monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "36")
-    radical, quotient, _ = uncached(Z6)
+    radical, quotient, _ = jacobson_radical_and_quotient(Z6)
     assert [a.literal() for a in radical] == [0]
     assert quotient.descriptor() == "modular(6)"
+
+
+@pytest.mark.parametrize("cached", [jacobson_radical_and_quotient, maximal_ideals])
+def test_a_cached_radical_still_counts_its_element_pairs(monkeypatch, cached):
+    # the count runs in front of the cache: a refusal does not depend on
+    # what the process computed before
+    cached(Z6)
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "35")
+    with pytest.raises(BudgetExceeded) as info:
+        cached(Z6)
+    assert str(info.value) == "36 element pairs exceed the search budget 35"
 
 
 def test_prime_field_counts_its_trial_divisors_against_the_search_budget(monkeypatch):
@@ -560,6 +570,28 @@ def test_radical_elements_are_quasi_regular():
             # 1 - ra must be a unit for every r
             for r in ring.elements():
                 assert is_unit(ring.one() - r * a)
+
+
+def _projection_case(ring, quotient, image, radical):
+    return ring, quotient, lambda a: RingElement(quotient, image(a.payload)), radical
+
+
+@pytest.mark.parametrize(
+    "ring, quotient, project, radical, message",
+    [
+        # 1 + 2 = 3 goes to 0, where 1 + 0 = 1
+        (*_projection_case(Z4, PrimeField(2), lambda x: int(x == 1), (0, 2)), "addition"),
+        # x -> -x is additive, but 1 * 1 = 1 goes to 5 and 5 * 5 = 1
+        (*_projection_case(Z6, Z6, lambda x: -x % 6, (0,)), "multiplication"),
+        (*_projection_case(Z4, PrimeField(2), lambda x: 0, (0, 2)), "1 to 1"),
+        (*_projection_case(Z4, PrimeField(2), lambda x: x % 2, (0,)), "kernel"),
+    ],
+    ids=["addition", "multiplication", "one", "kernel"],
+)
+def test_projection_check_names_the_law_that_fails(ring, quotient, project, radical, message):
+    radical = tuple(ring.make(a) for a in radical)
+    with pytest.raises(AssertionError, match=message):
+        _verify_projection(ring, quotient, project, radical)
 
 
 def test_maximal_ideals_z6():
