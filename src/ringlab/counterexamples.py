@@ -109,14 +109,18 @@ def bounded_principality_check(generators: Sequence[RingElement], bound: int):
     is the one the full scan would accept, and only it scans B in candidate
     order for its cofactors, so the witnesses are still the first ones.
 
-    Every product runs through the batch kernel ``Ring._scaler``, built once
-    per call for each fixed operand list (the candidates, T and L): one call
-    per row of the member table, and per member g one for the images g * T
-    and one per f for the shifted set f + g * L, which must meet the images
-    (``set.isdisjoint``).  Over Z/n[X] each scaler packs its list once and
-    each call is one big-int product, so a member costs at most
-    1 + len(generators) products, no packing of T or L and no polynomial
-    sum.  Returns a verified PrincipalWitness or NotPrincipalUpTo."""
+    Every product and partial sum runs through the batch kernel
+    ``Ring._scaler``, built once per call for each fixed operand list (the
+    candidates, each row H and T and L): one call per row of the member
+    table, one translate call per coset s + H, and per member g one for the
+    images g * T and one per f for the shifted set f + g * L, which must
+    meet the images (``set.isdisjoint``).  The search keeps the kernel's
+    keys throughout, and looks each candidate up by ``Ring._key``.  Over
+    Z/n[X] with n <= 16 each scaler packs its list once and each call is at
+    most one big-int product, so a member costs at most 1 + len(generators)
+    products, no packing of T or L, no polynomial sum and no tuple.  Only
+    the accepted witness is built as ring elements.  Returns a verified
+    PrincipalWitness or NotPrincipalUpTo."""
     if not generators:
         raise ValueError("need at least one ideal generator")
     if bound < 0:
@@ -145,25 +149,26 @@ def bounded_principality_check(generators: Sequence[RingElement], bound: int):
         first: dict = {}
         for i, product in enumerate(by_candidates(f)):
             first.setdefault(product, i)
-        rows.append(first.items())
+        rows.append(first)
     # Close the table over one row H at a time, walking the partial sums s
     # in the order of their first combinations.  H is a subgroup, so an s
     # already reached lies in a coset s + H that is wholly covered, and the
-    # coset of any other s is disjoint from the sums reached so far.
-    members = {product: (i,) for product, i in rows[0]}
+    # coset of any other s is disjoint from the sums reached so far.  Each
+    # coset is one translate call of H's scaler, on keys.
+    members = {product: (i,) for product, i in rows[0].items()}
     for row in rows[1:]:
+        translate, indices = ring._scaler(list(row)), list(row.values())
         grown: dict = {}
         for s, combo in members.items():
             if s in grown:
                 continue
-            for product, i in row:
-                total = add(s, product)
-                if total in grown:
-                    raise AssertionError(
-                        "a row of the member table is not closed under"
-                        " addition; this is a bug"
-                    )
-                grown[total] = combo + (i,)
+            size = len(grown)
+            grown.update(zip(translate(z=s), [combo + (i,) for i in indices]))
+            if len(grown) != size + len(indices):
+                raise AssertionError(
+                    "a row of the member table is not closed under"
+                    " addition; this is a bug"
+                )
         members = grown
     # low is the subgroup L of the docstring, reps the coset representatives T
     fits = [d for d in range(bound) if 2 * box_exponent(d) <= box_exponent(bound)]
@@ -175,8 +180,10 @@ def bounded_principality_check(generators: Sequence[RingElement], bound: int):
         )
     by_reps, by_low = ring._scaler(reps), ring._scaler(low)
     examined = 0
+    key = ring._key
     for g in candidates:
-        if g == zero or g not in members:
+        combo = members.get(key(g))
+        if g == zero or combo is None:
             continue
         examined += 1
         # L = -L, so f - g*l over l in L is f + g*l over l in L
@@ -190,7 +197,7 @@ def bounded_principality_check(generators: Sequence[RingElement], bound: int):
             RingElement(ring, next((c for c in candidates if mul(g, c) == f), zero))
             for f in targets
         )
-        combination = tuple(RingElement(ring, candidates[i]) for i in members[g])
+        combination = tuple(RingElement(ring, candidates[i]) for i in combo)
         recombined = ring.zero()
         for f, h in zip(generators, combination):
             recombined = recombined + f * h

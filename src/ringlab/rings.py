@@ -24,15 +24,20 @@ coefficient, so no slot overflows into the next; the packed products are
 summed, and the sum is unpacked once, each coefficient reduced mod n and the
 result trimmed.  ``_mul`` is the one-pair case, with the same packing.
 
-The batch kernel ``_scaler(ys)`` returns ``f(x, z=None)``, which gives
-``[z + x*y for y in ys]``, for the searches that multiply many payloads by
-the same ys.  The base class loops over the pairs.  Polynomials over Z/n
-pack the ys once per run size: every y gets its own run of one-byte slots
-in one int, so one big-int product by x (plus z packed into every run)
-gives all the results, ``bytes.translate`` reduces every slot mod n, and
-the runs are cut apart and trimmed with ``rstrip``.  That holds while no
-coefficient of ``x*y + z`` can pass 255, that is while ``min(len(x),
-longest y) * (n-1)**2 + (n-1) <= 255``; past it f falls back to the loop.
+The batch kernel ``_scaler(ys)`` returns ``f(x=None, z=None)``, which gives
+``[z + x*y for y in ys]`` (with x left out, the translate ``[z + y for y in
+ys]``) as keys, for the searches that multiply many payloads by the same ys
+and only hash and compare the results.  ``_key(payload)`` gives a payload's
+key, one key type per ring.  The base class loops over the pairs and keys
+by payload.  Polynomials over Z/n with n <= 16 key by the ``bytes`` of the
+coefficients (also accepted as operands) and pack the ys once per run size:
+every y gets its own run of one-byte slots in one int, so one big-int
+product by x (plus z packed into every run) gives all the results,
+``bytes.translate`` reduces every slot mod n, and the runs are cut apart
+and trimmed with ``rstrip``.  That holds while no coefficient of ``x*y +
+z`` can pass 255, that is while ``min(len(x), longest y) * (n-1)**2 +
+(n-1) <= 255`` (always for a translate, the product by one); past it f
+falls back to the loop, turning its results into the same keys.
 
 ``EuclideanOps`` is the one Euclidean interface, for the integers and
 polynomials over a prime field.  It binds four ring-specific payload
@@ -145,12 +150,19 @@ class Ring:
             acc = add(acc, mul(x, y))
         return acc
 
+    def _key(self, x: Any) -> Any:
+        """The hashable key ``_scaler`` gives for the payload ``x``."""
+        return x
+
     def _scaler(self, ys: Sequence[Any]) -> Callable[..., list]:
-        """``f(x, z=None) -> [z + x*y for y in ys]`` on payloads (z zero when
-        None), for many x against the same ys."""
+        """``f(x=None, z=None) -> [z + x*y for y in ys]`` as keys (z zero when
+        None; x None for the translate ``[z + y for y in ys]``), for many x
+        or z against the same ys."""
         add, mul = self._add, self._mul
 
-        def scale(x: Any, z: Any = None) -> list:
+        def scale(x: Any = None, z: Any = None) -> list:
+            if x is None:
+                return [add(z, y) for y in ys]
             if z is None:
                 return [mul(x, y) for y in ys]
             return [add(z, mul(x, y)) for y in ys]
@@ -387,6 +399,8 @@ class PolynomialRing(Ring):
         self.bound = bound
         # coefficients are plain ints mod n here, so products pack (see _dot)
         self._modulus = base.modulus if isinstance(base, ModularRing) else None
+        # every coefficient fits a byte, and x*y + z can pack (see _scaler)
+        self._packs = self._modulus is not None and self._modulus <= 16
         if bound is None:
             self._descriptor = f"poly({base.descriptor()})"
         else:
@@ -445,17 +459,24 @@ class PolynomialRing(Ring):
         width = (count * (n - 1) ** 2).bit_length()
         return _unpack(sum(_pack(x, width) * _pack(y, width) for x, y in pairs), width, n)
 
+    def _key(self, x: tuple) -> Any:
+        # a packing ring's keys are the coefficient bytes (see _scaler)
+        return bytes(x) if self._packs else x
+
     def _scaler(self, ys: Sequence[tuple]) -> Callable[..., list]:
         n = self._modulus
         loop = super()._scaler(ys)
-        if n is None:
+        if not self._packs:
             return loop
         longest = max(map(len, ys), default=0)
         packed: dict = {}  # run size -> the ys packed in runs of that size
+        square, table = (n - 1) ** 2, _residue_table(n)
 
-        def scale(x: tuple, z: tuple | None = None) -> list:
-            if min(len(x), longest) * (n - 1) ** 2 + (n - 1) > 255:
-                return loop(x, z)
+        def scale(x: tuple | None = None, z: tuple | None = None) -> list:
+            if x is None:
+                x = b"\1"  # a translate is the product by one: it always packs
+            elif min(len(x), longest) * square + n - 1 > 255:
+                return [bytes(p) for p in loop(x, z)]
             # one byte per coefficient, a run of `size` bytes per y: no slot
             # of x*y + z passes 255, so the runs come apart without carries
             tail = bytes(z or ())
@@ -465,8 +486,8 @@ class PolynomialRing(Ring):
                 packed[size] = int.from_bytes(runs, "little")
             shift = int.from_bytes(tail.ljust(size, b"\0") * len(ys), "little")
             total = packed[size] * int.from_bytes(bytes(x), "little") + shift
-            out = total.to_bytes(size * len(ys), "little").translate(_residue_table(n))
-            return [tuple(out[i:i + size].rstrip(b"\0")) for i in range(0, len(out), size)]
+            out = total.to_bytes(size * len(ys), "little").translate(table)
+            return [out[i:i + size].rstrip(b"\0") for i in range(0, len(out), size)]
 
         return scale
 
@@ -595,8 +616,7 @@ def _unpack(packed: int, width: int, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _residue_table(n: int) -> bytes:
     """The ``bytes.translate`` table taking each byte to its residue mod n,
-    for the moduli that pass the one-byte guard of ``_scaler``: up to 16, or
-    up to 256 when a factor is zero."""
+    for the moduli of ``_scaler``'s packed path: up to 16."""
     return bytes(i % n for i in range(256))
 
 
@@ -1438,22 +1458,26 @@ def _radical_and_quotient(
 
 
 def _verify_maximal_ideal(ring: Ring, ideal: frozenset) -> None:
-    elements = ring.elements()
-    one = ring.one()
-    if one in ideal:
+    """Check on payloads that ``ideal`` is proper, closed under addition,
+    absorbing and maximal.  I + aR = R exactly when 1 lies in I + aR, so a
+    non-member a passes when 1 - a*r is in I for some r: every loop stays
+    inside the |R|^2 element pairs that ``maximal_ideals`` counts."""
+    members = {a.payload for a in ideal}
+    payloads = [a.payload for a in ring.elements()]
+    add, mul, neg, one = ring._add, ring._mul, ring._neg, ring._one()
+    if one in members:
         raise AssertionError("ideal is not proper")
-    members = tuple(ideal)
     for a in members:
         for b in members:
-            if a + b not in ideal:
+            if add(a, b) not in members:
                 raise AssertionError("ideal is not closed under addition")
-        for r in elements:
-            if a * r not in ideal:
+        for r in payloads:
+            if mul(a, r) not in members:
                 raise AssertionError("ideal does not absorb multiplication")
-    for a in elements:
-        if a in ideal:
+    for a in payloads:
+        if a in members:
             continue
-        if not any(p + a * r == one for p in members for r in elements):
+        if not any(add(one, neg(mul(a, r))) in members for r in payloads):
             raise AssertionError("ideal is not maximal")
 
 

@@ -124,6 +124,22 @@ def test_member_tables_add_few_payloads(monkeypatch):
     assert bivariate_adds[0] <= 1_000
 
 
+def test_search_payload_operations_are_pinned(monkeypatch):
+    # Over Z/4[X] every product and every member-table sum is packed, so the
+    # only payload sums left are the 16 * 16 of the cofactor box's coset
+    # split, and there is no payload product at all.  Over F_2[X, Y] the
+    # base-loop scaler makes one sum per member-table sum (512, translates
+    # with no product), 8 * 8 for the coset split and 8 per shifted set
+    # f + g*L (256).
+    poly_adds = _count_calls(monkeypatch, PolynomialRing, "_add")
+    poly_muls = _count_calls(monkeypatch, PolynomialRing, "_mul")
+    assert bounded_principality_check([Z4X.make(2), Z4X.gen()], 3) == NotPrincipalUpTo(3, 127)
+    assert (poly_adds[0], poly_muls[0]) == (256, 0)
+    bivariate_adds = _count_calls(monkeypatch, BivariatePolynomialRing, "_add")
+    assert bounded_principality_check(list(F2XY.gens()), 2) == NotPrincipalUpTo(2, 31)
+    assert bivariate_adds[0] == 832
+
+
 def test_member_table_checks_its_cosets(monkeypatch):
     # without the cofactor 2X the row X*B misses 2X^2, so it is no subgroup:
     # the partial sum 2X^2 of the row 2*B then opens a coset that overlaps
@@ -441,6 +457,8 @@ Z4X_DIFF = PolynomialRing(ModularRing(4))
 Z6X_DIFF = PolynomialRing(ModularRing(6))
 Z8X_DIFF = PolynomialRing(ModularRing(8))
 Z9X_DIFF = PolynomialRing(ModularRing(9))
+Z16X_DIFF = PolynomialRing(ModularRing(16))
+Z17X_DIFF = PolynomialRing(ModularRing(17))
 F3XY = BivariatePolynomialRing(PrimeField(3), bound=1)
 
 
@@ -476,6 +494,13 @@ def _differential_cases():
         ("Z6[X] (2, 3, X)", [Z6X_DIFF.make(2), Z6X_DIFF.make(3), Z6X_DIFF.gen()], 1),
         ("Z4[X] (2, X, 2X+2)", [two, X, two * X + two], 1),
         ("F3[X,Y] (X, Y, X+Y)", [gx3, gy3, gx3 + gy3], 1),
+        # Z/16 packs constants but not two length-2 operands (2 * 225 + 15 >
+        # 255), so one search meets both branches of the scaler and must get
+        # one key type from both; both ideals are principal
+        ("Z16[X] (X+1, 2X+2)", [Z16X_DIFF.make([1, 1]), Z16X_DIFF.make([2, 2])], 1),
+        ("Z16[X] (X+2, 4X+8)", [Z16X_DIFF.make([2, 1]), Z16X_DIFF.make([8, 4])], 1),
+        # Z/17 never packs: its keys stay payload tuples
+        ("Z17[X] (X, X+1)", [Z17X_DIFF.gen(), Z17X_DIFF.make([1, 1])], 1),
     ]
     return cases
 

@@ -33,7 +33,13 @@ from ringlab import (
     primitive_idempotent_decomposition,
     try_inverse,
 )
-from ringlab.rings import Ring, RingElement, _is_nilpotent, _verify_projection
+from ringlab.rings import (
+    Ring,
+    RingElement,
+    _is_nilpotent,
+    _verify_maximal_ideal,
+    _verify_projection,
+)
 
 Z = IntegerRing()
 Z4 = ModularRing(4)
@@ -607,6 +613,55 @@ def test_maximal_ideals_align_with_corners():
         assert e not in p
 
 
+# tampered ideals, one per refusal of the maximal-ideal check: the whole
+# ring; {0, 2} in Z/6 (2 + 2 = 4); {(0,0), (1,2)} in Z/2 x Z/4, closed and
+# without 1 = (1,1), but (1,2)*(0,1) = (0,2) is outside (every additive
+# subgroup of Z/n is an ideal, and in Z/2 x Z/2 the one such set holds 1);
+# and {0, 4, 8} in Z/12, an ideal under (2)
+TAMPERED_IDEALS = [
+    ("modular(6)", list(range(6)), "ideal is not proper"),
+    ("modular(6)", [0, 2], "ideal is not closed under addition"),
+    ("product(modular(2), modular(4))", [[0, 0], [1, 2]], "ideal does not absorb multiplication"),
+    ("modular(12)", [0, 4, 8], "ideal is not maximal"),
+]
+
+
+@pytest.mark.parametrize("name, members, message", TAMPERED_IDEALS)
+def test_maximal_ideal_check_refuses_a_tampered_ideal(name, members, message):
+    ring = parse_ring(name)
+    ideal = frozenset(ring.make(m) for m in members)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        _verify_maximal_ideal(ring, ideal)
+
+
+def test_maximal_ideal_check_refuses_under_python_O():
+    import ringlab
+
+    script = f"""
+import ringlab.rings as rings
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+for name, members, _ in {TAMPERED_IDEALS!r}:
+    ring = rings.parse_ring(name)
+    try:
+        rings._verify_maximal_ideal(ring, frozenset(ring.make(m) for m in members))
+    except AssertionError as exc:
+        print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(ringlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [message for _, _, message in TAMPERED_IDEALS]
+
+
 # ---------------------------------------------------------------------------
 # corner and quotient rings
 
@@ -831,11 +886,14 @@ def test_dot_matches_the_sum_of_plain_products(data):
 
 
 # ---------------------------------------------------------------------------
-# the payload batch product against per-element products
+# the payload batch product against per-element products, compared through
+# the ring's keys
 
 
 def _per_element_scale(ring, x, ys, z):
-    return [ring._add(z, ring._mul(x, y)) for y in ys]
+    """The keys of ``[z + x*y for y in ys]``, or of the translate
+    ``[z + y for y in ys]`` when x is None."""
+    return [ring._key(ring._add(z, y if x is None else ring._mul(x, y))) for y in ys]
 
 
 @st.composite
@@ -878,12 +936,16 @@ def _full(n, length):
 @example((2, _full(2, 254), [_full(2, 254)], _full(2, 507)))  # 254 + 1 = 255
 @example((2, _full(2, 255), [_full(2, 255)], _full(2, 509)))  # 255 + 1 = 256
 @example((6, _full(6, 10), [_full(6, 10), (), (5,)], _full(6, 19)))  # 10 * 25 + 5 = 255
+# translates y + z: 15 + 15 = 30 always fits a byte, and Z/17 loops
+@example((16, (15, 15), [_full(16, 40), (), (0, 3)], _full(16, 50)))
+@example((17, (16,), [(16, 16), (), (0, 3)], (16, 1)))
 def test_modular_scale_matches_per_element_products(data):
     n, x, ys, z = data
     ring = PolynomialRing(ModularRing(n))
     scale = ring._scaler(ys)
     assert scale(x, z) == _per_element_scale(ring, x, ys, z)
     assert scale(x) == _per_element_scale(ring, x, ys, ())
+    assert scale(z=z) == _per_element_scale(ring, None, ys, z)
 
 
 @pytest.mark.parametrize(
@@ -895,6 +957,9 @@ def test_modular_scale_packs_exactly_when_no_slot_passes_255(monkeypatch, n, len
     calls = _count_base_loop_calls(monkeypatch)
     full = _full(n, length)
     scale = ring._scaler([full])
+    # a translate packs whenever the ring packs at all, here for n <= 16
+    assert scale(None, full) == _per_element_scale(ring, None, [full], full)
+    assert (not calls) == (n <= 16)
     assert scale(full, (n - 1,)) == _per_element_scale(ring, full, [full], (n - 1,))
     assert (not calls) == packed
 
@@ -943,8 +1008,11 @@ def test_one_modular_scaler_serves_x_of_every_length(monkeypatch):
         x = tuple((i + j) % 4 for j in range(length - 1)) + (3,)
         z = _full(4, tail)
         before = len(calls)
-        assert scale(x, z) == reference(x, z)
-        assert scale(x) == reference(x)
+        # the translate by z packs at every length
+        assert scale(None, z) == [ring._key(p) for p in reference(None, z)]
+        assert len(calls) == before
+        assert scale(x, z) == [ring._key(p) for p in reference(x, z)]
+        assert scale(x) == [ring._key(p) for p in reference(x)]
         assert (len(calls) == before) == packed
 
 
@@ -978,9 +1046,11 @@ def base_scale_operands(draw):
 @example(("integers", 0, [], 5))
 @example(("poly(integers)", (), [(1, 2)], (3,)))
 @example(("poly2(gf(3), bound=2)", (((1, 0), 1),), [(((0, 1), 2),), ()], ()))
+@example(("poly2(gf(3), bound=2)", (), [(((0, 1), 2),), ()], (((0, 1), 1),)))  # y + z cancels
 def test_base_scale_matches_per_element_products(data):
     name, x, ys, z = data
     ring = parse_ring(name)
     scale = ring._scaler(ys)
     assert scale(x, z) == _per_element_scale(ring, x, ys, z)
     assert scale(x) == _per_element_scale(ring, x, ys, ring._zero())
+    assert scale(z=z) == _per_element_scale(ring, None, ys, z)
