@@ -3,10 +3,12 @@
 Two representations coexist.  A ``ProjectiveModule`` is a multiplicity vector
 over the ring's primitive idempotents (the module is the direct sum of that
 many copies of each corner ``e_i R``), which makes isomorphism testing exact.
-A ``FiniteModule`` carries its points explicitly, so kernels, images,
-cokernels, and brute-force isomorphism searches all run by enumeration; a
-matrix's kernel, image and cokernel take the images of every domain point
-from one payload product.
+A ``FiniteModule`` carries its points explicitly, so kernels, images and
+cokernels run by enumeration; a matrix's kernel, image and cokernel take the
+images of every domain point from one payload product.  Two finite modules
+over Z/n are compared by the sizes |M| and |q*M| over the prime powers
+q | n, a complete invariant; over other rings by a brute-force search for
+an isomorphism.
 
 Localizing at a maximal ideal and at an element are one construction over a
 finite ring: the corner cut by an idempotent (the primitive idempotent
@@ -115,6 +117,8 @@ class FiniteModule:
         self.label = label
         self._annihilators: dict[Any, frozenset] = {}
         self._generators: Optional[tuple[Any, ...]] = None
+        self._summands: Optional[tuple[FiniteModule, FiniteModule]] = None
+        self._ulm_sizes: Optional[tuple[int, ...]] = None
         if zero not in self.point_set:
             raise ValueError("carrier does not contain the zero point")
         if self._checks_axioms and len(self.points) <= _AXIOM_CHECK_LIMIT:
@@ -283,7 +287,8 @@ def cyclic_submodule(d: RingElement) -> FiniteModule:
 def annihilator_submodule(d: RingElement) -> FiniteModule:
     """ann(d) = everything d kills."""
     ring = d.ring
-    points = [e.payload for e in ring.elements() if (d * e).is_zero()]
+    mul, zero = ring._mul, ring._zero()
+    points = [e.payload for e in ring.elements() if mul(d.payload, e.payload) == zero]
     return _ideal_module(ring, points, f"ann({d.literal()})")
 
 
@@ -313,16 +318,19 @@ def quotient_by_cyclic(d: RingElement) -> FiniteModule:
 
 def direct_sum(left: FiniteModule, right: FiniteModule) -> FiniteModule:
     """The external direct sum; both summands were checked where they were
-    built, so the sum is built without repeating the axiom check."""
+    built, so the sum is built without repeating the axiom check.  The sum
+    keeps its summands, from which :func:`module_iso` takes its sizes."""
     if left.ring != right.ring:
         raise MismatchedRings("direct sum needs a common base ring")
     points = [(a, b) for a in left.points for b in right.points]
     zero = (left.zero, right.zero)
     add = lambda x, y: (left.add(x[0], y[0]), right.add(x[1], y[1]))
     scale = lambda r, x: (left.scale(r, x[0]), right.scale(r, x[1]))
-    return _LibraryModule(
+    total = _LibraryModule(
         left.ring, points, zero, add, scale, f"{left.label}(+){right.label}"
     )
+    total._summands = (left, right)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +493,59 @@ def find_module_isomorphism(left: FiniteModule, right: FiniteModule) -> Optional
     return search(0, {left.zero: right.zero}, {right.zero})
 
 
+def _prime_powers(n: int) -> list[int]:
+    """Every prime power q > 1 dividing n, each prime's in increasing order."""
+    out, rest, p = [], n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+            out.append(q)
+        p += 1
+    return out
+
+
+def _ulm_sizes(module: FiniteModule) -> tuple[int, ...]:
+    """|M| and |q*M| for each prime power q dividing n, for a module over
+    Z/n, each q*M taken with the module's own ``scale``.  Kept on the
+    module; a direct sum's sizes are the products of its summands', since
+    q*(A (+) B) = qA (+) qB."""
+    if module._ulm_sizes is None:
+        if module._summands is not None:
+            left, right = module._summands
+            module._ulm_sizes = tuple(
+                a * b for a, b in zip(_ulm_sizes(left), _ulm_sizes(right))
+            )
+        else:
+            n, scale = module.ring.modulus, module.scale
+            module._ulm_sizes = (
+                len(module),
+                *(len({scale(q % n, x) for x in module.points}) for q in _prime_powers(n)),
+            )
+    return module._ulm_sizes
+
+
 def module_iso(
     left: Union[ProjectiveModule, FiniteModule],
     right: Union[ProjectiveModule, FiniteModule],
 ) -> bool:
     """Isomorphism test: exact multiplicity comparison for projectives,
-    generator-seeded search for explicit carriers, expansion for a mix."""
+    expansion for a mix, and for two explicit carriers the sizes |M| and
+    |q*M| over the prime powers q | n when the ring is Z/n (gf(p) included),
+    the generator-seeded search otherwise.
+
+    A Z/n-module is an abelian group killed by n, and every additive map
+    between two of them is Z/n-linear.  For a finite abelian p-group G,
+    log_p |p^k G| - log_p |p^(k+1) G| counts its cyclic summands of order
+    above p^k (the Ulm invariants of a finite group; Kaplansky, *Infinite
+    Abelian Groups*, section 11), so these sizes fix the module up to
+    isomorphism."""
+    if left.ring != right.ring:
+        raise MismatchedRings("isomorphism testing needs a common base ring")
     if isinstance(left, ProjectiveModule) and isinstance(right, ProjectiveModule):
-        if left.ring != right.ring:
-            raise MismatchedRings("isomorphism testing needs a common base ring")
         if left.basis != right.basis:
             raise ValueError("modules use different idempotent bases")
         return left.multiplicities == right.multiplicities
@@ -501,6 +553,8 @@ def module_iso(
         left = to_finite_module(left)
     if isinstance(right, ProjectiveModule):
         right = to_finite_module(right)
+    if isinstance(left.ring, ModularRing):
+        return _ulm_sizes(left) == _ulm_sizes(right)
     return find_module_isomorphism(left, right) is not None
 
 
@@ -915,7 +969,8 @@ def stably_free_check(module: ProjectiveModule, a: int, b: int) -> RankVerdict:
 def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
     """For a regular matrix with diagonal form diag(d_1..d_r): each index must
     satisfy ann(d_j) (+) d_j R = R and R/d_j R (+) d_j R = R, checked by
-    explicit isomorphism search.  Cardinalities of the full kernel, image, and
+    :func:`module_iso`: by the sizes |q*M| over Z/n, by explicit isomorphism
+    search over other rings.  Cardinalities of the full kernel, image, and
     cokernel are cross-checked against the per-index factors when enumerable."""
     if not f.ring.is_finite():
         raise UnsupportedRing("the refinement check enumerates modules; finite only")
@@ -925,8 +980,8 @@ def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
 def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierReport:
     """:func:`diagonal_refinement_check` of f over a finite ring, against the
     given ``ring_module(f.ring)``: callers that check many matrices over one
-    ring share it, and with it the annihilators the isomorphism search
-    caches on its points."""
+    ring share it, and with it what :func:`module_iso` keeps on it (its
+    sizes |q*R| over Z/n, its points' annihilators for the search)."""
     ring = f.ring
     g, diag = _regularity(f)
     if g is None:

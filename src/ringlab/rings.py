@@ -1297,7 +1297,8 @@ def bezout_gcd(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement
 def is_regular_element(a: RingElement) -> tuple[bool, Optional[RingElement]]:
     """Whether some g satisfies a*g*a == a, with the first such witness.
 
-    Exhaustive over finite rings; over the integers only 0, 1, -1 qualify.
+    Exhaustive over finite rings, multiplying payloads; over the integers
+    only 0, 1, -1 qualify.
     """
     ring = a.ring
     if isinstance(ring, IntegerRing):
@@ -1307,8 +1308,9 @@ def is_regular_element(a: RingElement) -> tuple[bool, Optional[RingElement]]:
             return True, a
         return False, None
     if ring.is_finite():
+        x, mul = a.payload, ring._mul
         for g in ring.elements():
-            if a * g * a == a:
+            if mul(mul(x, g.payload), x) == x:
                 return True, g
         return False, None
     raise UnsupportedRing(f"regularity is undecidable here over {ring.descriptor()}")

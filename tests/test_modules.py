@@ -302,8 +302,10 @@ def test_decomposition_searches_over_z30_scale_few_times(monkeypatch):
     # Calls to `scale` of every module built, nested calls included: 558,600
     # for the unpruned search, whose closure ran over every scalar for every
     # mapped point and whose annihilators covered every point; 76,860 with a
-    # fresh ring module per checked element, whose annihilators the search
-    # recomputed each time; 49,890 now that the 30 checks share one.
+    # fresh ring module per checked element; 49,890 with the 60 searches
+    # sharing one.  Now no search runs: 2,628 calls take |q*M| for q = 2, 3
+    # and 5 once on R and on each summand, and each direct sum multiplies
+    # its summands' sizes without scaling its own points.
     calls = []
     init = FiniteModule.__init__
 
@@ -314,10 +316,107 @@ def test_decomposition_searches_over_z30_scale_few_times(monkeypatch):
 
         init(self, ring, points, zero, add, counted, label)
 
+    def no_search(left, right):
+        raise AssertionError("module_iso searched over Z/n")
+
     monkeypatch.setattr(FiniteModule, "__init__", counting_init)
+    monkeypatch.setattr("ringlab.modules.find_module_isomorphism", no_search)
     report = decomposition_verify(ModularRing(30))
     assert report.holds and report.checked == 30
-    assert len(calls) < 52_000
+    assert len(calls) < 2_700
+
+
+def _matrix_modules(ring):
+    """The kernel, image and cokernel of every 1x1, 1x2 and 2x1 matrix, each
+    distinct module once (a cokernel is fixed by its image)."""
+    payloads = [e.payload for e in ring.elements()]
+    out = {}
+    for rows, cols in [(1, 1), (1, 2), (2, 1)]:
+        for combo in itertools.product(payloads, repeat=rows * cols):
+            kernel, image, coker = kernel_image_cokernel(
+                RingMatrix(ring, rows, cols, combo)
+            )
+            out.setdefault(("kernel", kernel.points), kernel)
+            out.setdefault(("image", image.points), image)
+            out.setdefault(("cokernel", rows, image.point_set), coker)
+    return list(out.values())
+
+
+def _size_test_disagreements(ring, per_class=4):
+    """Same-size pairs on which ``module_iso`` and the search disagree.
+
+    The modules of ``_small_modules`` and ``_matrix_modules`` are sorted
+    into isomorphism classes by the search (each against the first module
+    of each class of its size, up to the first match), keeping at most
+    ``per_class`` of each; then every same-size pair of the kept modules is
+    compared, in both orders, so both isomorphic and non-isomorphic pairs
+    are covered."""
+    disagreements = []
+
+    def compare(left, right):
+        found = find_module_isomorphism(left, right) is not None
+        if module_iso(left, right) != found:
+            disagreements.append((left, right))
+        return found
+
+    classes, kept = {}, []
+    for m in _small_modules(ring) + _matrix_modules(ring):
+        groups = classes.setdefault(len(m), [])
+        group = next((g for g in groups if compare(m, g[0])), None)
+        if group is None:
+            groups.append([m])
+        elif len(group) < per_class:
+            group.append(m)
+        else:
+            continue
+        kept.append(m)
+    for left in kept:
+        for right in kept:
+            if len(left) == len(right):
+                compare(left, right)
+    return disagreements
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30])
+def test_module_sizes_decide_isomorphism_like_the_search(n):
+    assert _size_test_disagreements(ModularRing(n)) == []
+
+
+def test_module_sizes_without_q4_confuse_modules_over_z8(monkeypatch):
+    # |M| and |2M| alone do not tell Z/4 (+) Z/4 from Z/8 (+) Z/2; |4M| does
+    prime_powers = ringlab.modules._prime_powers
+    monkeypatch.setattr(
+        "ringlab.modules._prime_powers",
+        lambda n: [q for q in prime_powers(n) if q != 4],
+    )
+    disagreements = _size_test_disagreements(Z8)
+    assert disagreements
+    assert any(
+        len(left) == len(right) == 16
+        and {len({m.scale(4, x) for x in m.points}) for m in (left, right)} == {1, 2}
+        for left, right in disagreements
+    )
+
+
+def test_module_iso_searches_over_other_rings(monkeypatch):
+    ring = parse_ring("trivial(modular(2))")
+    calls = []
+    search = ringlab.modules.find_module_isomorphism
+
+    def counted(left, right):
+        calls.append((left, right))
+        return search(left, right)
+
+    monkeypatch.setattr("ringlab.modules.find_module_isomorphism", counted)
+    assert module_iso(ring_module(ring), ring_module(ring))
+    assert len(calls) == 1
+
+
+def test_module_iso_needs_common_ring():
+    with pytest.raises(MismatchedRings):
+        module_iso(ring_module(Z4), ring_module(Z6))
+    with pytest.raises(MismatchedRings):
+        module_iso(ring_module(Z4), ring_module(parse_ring("gf(2)")))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
