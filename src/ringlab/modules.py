@@ -649,10 +649,9 @@ def _corner_localizer(
     return view
 
 
-def _maximal_localizer(basis: IdempotentBasis, index: int) -> _Localizer:
-    """Localization at maximal ideal #index: the corner of the ideal's
-    idempotent, with every element outside the ideal inverted."""
-    ideal = maximal_ideals(basis.ring)[index]
+def _maximal_localizer(basis: IdempotentBasis, index: int, ideal: frozenset) -> _Localizer:
+    """Localization at ``ideal``, maximal ideal #index: the corner of the
+    ideal's idempotent, with every element outside the ideal inverted."""
     outside = [s for s in basis.ring.elements() if s not in ideal]
     return _corner_localizer(basis, basis.elements[index], outside, "maximal", index)
 
@@ -688,7 +687,7 @@ def localize_at_maximal(
             index = ideals.index(frozenset(ideal))
         except ValueError:
             raise ValueError("the given set is not one of the maximal ideals") from None
-    return _maximal_localizer(_idempotent_basis(module), index)(module)
+    return _maximal_localizer(_idempotent_basis(module), index, ideals[index])(module)
 
 
 def localize_at_element(
@@ -859,10 +858,12 @@ def local_global_verify(ring: Ring, bound: int) -> VerifierReport:
     """Isomorphism is detected by all maximal localizations together:
     exhaustively over multiplicity vectors with entries up to the bound,
     M iso N must agree with rank equality at every maximal ideal.  The
-    corner of each maximal ideal is built and checked once, by the builder
-    :func:`localize_at_maximal` uses, and shared by every module's view."""
+    maximal ideals are computed once; the corner of each is built and
+    checked once, by the builder :func:`localize_at_maximal` uses, and
+    shared by every module's view."""
     basis = primitive_idempotent_decomposition(ring)
-    localizers = [_maximal_localizer(basis, i) for i in range(len(basis))]
+    ideals = maximal_ideals(ring)
+    localizers = [_maximal_localizer(basis, i, m) for i, m in enumerate(ideals)]
     count, checked, counterexample = _compare_global_and_local(basis, bound, localizers)
     holds = counterexample is None
     summary = f"{count} modules, {len(basis)} maximal ideals"

@@ -258,11 +258,8 @@ class Ring:
         """Multiplicative inverse of ``a``, or None when ``a`` is not a unit."""
         self._own(a)
         if self.is_finite():
-            one = self.one()
-            for b in self.elements():
-                if a * b == one:
-                    return b
-            return None
+            x, mul, one = a.payload, self._mul, self._one()
+            return next((b for b in self.elements() if mul(x, b.payload) == one), None)
         raise UnsupportedRing(f"unit testing is not supported over {self.descriptor()}")
 
 
@@ -962,17 +959,15 @@ class QuotientRing(Ring):
         self.ideal = frozenset(ideal)
         if base._zero() not in self.ideal:
             raise ValueError("ideal must contain zero")
-        members = [RingElement(base, p) for p in self.ideal]
-        for a in members:
-            for b in members:
-                if (a + b).payload not in self.ideal:
+        payloads = [e.payload for e in base.elements()]
+        for a in self.ideal:
+            for b in self.ideal:
+                if base._add(a, b) not in self.ideal:
                     raise ValueError("ideal is not closed under addition")
-            for r in base.elements():
-                if (a * r).payload not in self.ideal:
+            for r in payloads:
+                if base._mul(a, r) not in self.ideal:
                     raise ValueError("ideal does not absorb ring multiplication")
-        rep, order = _coset_representatives(
-            (e.payload for e in base.elements()), self.ideal, base._add
-        )
+        rep, order = _coset_representatives(payloads, self.ideal, base._add)
         self._rep = rep
         self._reps = tuple(order)
         ideal_literals = sorted(
@@ -1316,53 +1311,53 @@ def is_regular_element(a: RingElement) -> tuple[bool, Optional[RingElement]]:
     raise UnsupportedRing(f"regularity is undecidable here over {ring.descriptor()}")
 
 
-@lru_cache(maxsize=None)
 def idempotents(ring: Ring) -> tuple[RingElement, ...]:
-    """All solutions of e*e == e, in enumeration order."""
-    return tuple(e for e in ring.elements() if e * e == e)
+    """All solutions of e*e == e, in enumeration order, tested on payloads."""
+    mul = ring._mul
+    return tuple(e for e in ring.elements() if mul(e.payload, e.payload) == e.payload)
 
 
 @dataclass(frozen=True)
 class IdempotentBasis:
     """A complete orthogonal family of primitive idempotents, in enumeration
-    order.  Validated on construction."""
+    order.  Validated on construction, on payloads."""
 
     ring: Ring
     elements: tuple[RingElement, ...]
 
     def __post_init__(self) -> None:
         ring = self.ring
-        total = ring.zero()
+        for e in self.elements:
+            ring._own(e)
+        add, mul, zero = ring._add, ring._mul, ring._zero()
+        total = zero
         all_idempotents = idempotents(ring)
         for i, e in enumerate(self.elements):
-            ring._own(e)
-            if e * e != e:
+            x = e.payload
+            if mul(x, x) != x:
                 raise ValueError(f"{e!r} is not idempotent")
-            if e.is_zero():
+            if x == zero:
                 raise ValueError("zero cannot be a basis idempotent")
             for f in self.elements[i + 1 :]:
-                if not (e * f).is_zero():
+                if mul(x, f.payload) != zero:
                     raise ValueError(f"{e!r} and {f!r} are not orthogonal")
             for f in all_idempotents:
-                if not f.is_zero() and f != e and f * e == f:
+                if f.payload not in (zero, x) and mul(f.payload, x) == f.payload:
                     raise ValueError(f"{e!r} is not primitive ({f!r} lies under it)")
-            total = total + e
-        if total != ring.one():
+            total = add(total, x)
+        if total != ring._one():
             raise ValueError("idempotents do not sum to 1")
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
 def primitive_idempotent_decomposition(ring: Ring) -> IdempotentBasis:
     """The primitive (minimal nonzero) idempotents of a finite ring."""
-    idems = idempotents(ring)
-    nonzero = [e for e in idems if not e.is_zero()]
+    mul, zero = ring._mul, ring._zero()
+    nonzero = {e.payload: e for e in idempotents(ring) if e.payload != zero}
     primitive = tuple(
-        e
-        for e in nonzero
-        if not any(f != e and f * e == f for f in nonzero)
+        e for x, e in nonzero.items() if not any(f != x and mul(f, x) == f for f in nonzero)
     )
     return IdempotentBasis(ring, primitive)
 
@@ -1405,13 +1400,22 @@ def _verify_projection(ring: Ring, quotient: Ring, project, radical) -> None:
 
 
 def _count_element_pairs(ring: Ring) -> None:
-    """The radical's unit test and its projection check each walk every
-    pair of elements: count them against the search budget.  The cached
-    radical and maximal ideals run this on every call, hit or miss, so a
-    refusal does not depend on what the process computed before."""
+    """The radical's unit test, its projection check and the maximality
+    check walk the pairs of elements: count them against the search budget.
+    Nothing is kept between calls, so every call counts and every call
+    computes."""
     if not ring.is_finite():
         raise UnsupportedRing("the radical is computed for finite rings only")
     check_search_budget(len(ring.elements()) ** 2, "element pairs")
+
+
+def _radical_payloads(ring: Ring) -> set[Any]:
+    """The payloads of {a : 1 - r*a is a unit for all r}, tested on payloads
+    against the unit set built once."""
+    units = {a.payload for a in ring.elements() if is_unit(a)}
+    payloads = [a.payload for a in ring.elements()]
+    add, neg, mul, one = ring._add, ring._neg, ring._mul, ring._one()
+    return {a for a in payloads if all(add(one, neg(mul(r, a))) in units for r in payloads)}
 
 
 def jacobson_radical_and_quotient(
@@ -1422,27 +1426,12 @@ def jacobson_radical_and_quotient(
 
     For modular rings the quotient is again a modular ring (modulo the
     squarefree part of n); otherwise it is a generic coset-representative
-    quotient.  The element pairs are counted on every call; the result is
-    cached per ring.
+    quotient.  The element pairs are counted and the radical is computed on
+    every call; a caller that needs it twice passes the result on.
     """
     _count_element_pairs(ring)
-    return _radical_and_quotient(ring)
-
-
-@lru_cache(maxsize=None)
-def _radical_and_quotient(
-    ring: Ring,
-) -> tuple[tuple[RingElement, ...], Ring, Callable[[RingElement], RingElement]]:
-    elements = ring.elements()
-    # the unit test on payloads, against the unit set built once
-    units = {a.payload for a in elements if is_unit(a)}
-    payloads = [a.payload for a in elements]
-    add, neg, mul, one = ring._add, ring._neg, ring._mul, ring._one()
-    radical = tuple(
-        a
-        for a in elements
-        if all(add(one, neg(mul(r, a.payload))) in units for r in payloads)
-    )
+    members = _radical_payloads(ring)
+    radical = tuple(a for a in ring.elements() if a.payload in members)
     if isinstance(ring, ModularRing):
         m = _radical_int(ring.modulus)
         quotient: Ring = PrimeField(m) if _is_prime(m) else ModularRing(m)
@@ -1452,8 +1441,7 @@ def _radical_and_quotient(
             return RingElement(_quotient, a.payload % _m)
 
     else:
-        ideal = frozenset(a.payload for a in radical)
-        quotient = QuotientRing(ring, ideal)
+        quotient = QuotientRing(ring, frozenset(members))
         project = quotient.project
     _verify_projection(ring, quotient, project, radical)
     return radical, quotient, project
@@ -1484,23 +1472,18 @@ def _verify_maximal_ideal(ring: Ring, ideal: frozenset) -> None:
 
 
 def maximal_ideals(ring: Ring) -> tuple[frozenset, ...]:
-    """One maximal ideal per primitive idempotent: elements whose component
-    at that idempotent falls in the radical.  Each ideal is verified to be
+    """One maximal ideal per primitive idempotent e: the elements a whose
+    component a*e falls in the radical.  Each ideal is verified to be
     proper, closed, absorbing, and maximal.  Like the radical's, the element
-    pairs are counted on every call and the result is cached per ring."""
+    pairs are counted and the ideals computed on every call; a caller that
+    needs them twice passes them on."""
     _count_element_pairs(ring)
-    return _maximal_ideals(ring)
-
-
-@lru_cache(maxsize=None)
-def _maximal_ideals(ring: Ring) -> tuple[frozenset, ...]:
-    basis = primitive_idempotent_decomposition(ring)
-    radical, _, _ = _radical_and_quotient(ring)  # its pairs are counted already
-    radical_payloads = {a.payload for a in radical}
+    radical = _radical_payloads(ring)
+    mul = ring._mul
     ideals = []
-    for e in basis.elements:
+    for e in primitive_idempotent_decomposition(ring).elements:
         ideal = frozenset(
-            a for a in ring.elements() if (a * e).payload in radical_payloads
+            a for a in ring.elements() if mul(a.payload, e.payload) in radical
         )
         _verify_maximal_ideal(ring, ideal)
         ideals.append(ideal)

@@ -1,9 +1,11 @@
 """Finite modules, projective multiplicity classes, and theorem verifiers."""
 
+import gc
 import itertools
 import json
 import random
 import re
+import weakref
 from math import prod
 from pathlib import Path
 
@@ -765,6 +767,35 @@ def test_local_global_verify_holds():
     assert "verdict=holds" in lines[0]
 
 
+def test_local_global_verify_computes_the_maximal_ideals_once(monkeypatch):
+    # one check per maximal ideal on every call: nothing is cached, and the
+    # ideals are handed to the localizers rather than looked up again
+    checked = []
+    real = ringlab.rings._verify_maximal_ideal
+
+    def counted(ring, ideal):
+        checked.append(ideal)
+        real(ring, ideal)
+
+    monkeypatch.setattr(ringlab.rings, "_verify_maximal_ideal", counted)
+    for _ in range(2):
+        checked.clear()
+        assert local_global_verify(ModularRing(30), 2).holds
+        assert len(checked) == 3
+
+
+def test_a_call_keeps_nothing_alive():
+    # the idempotents, radical and maximal ideals live only as long as the
+    # call that computes them: a dropped ring is collected
+    ring = ModularRing(30)
+    ref = weakref.ref(ring)
+    verify_suite(ring, 2, _default_partition_generators(ring))
+    localize_at_maximal(projective_module(ring, (1, 1, 1)), 0)
+    del ring
+    gc.collect()
+    assert ref() is None
+
+
 def test_partition_of_unity_verify_holds():
     report = partition_of_unity_verify(Z6, [Z6.make(3), Z6.make(4)], 2)
     assert report.holds
@@ -987,7 +1018,7 @@ def test_sweep_sections_match_recorded_output(descriptor):
 def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
     # Z/4 has J(R) = {0, 2}, so every regular reduction is also projected
     ring = ModularRing(4)
-    _small_shape_sweep(ring)  # warm the element and radical caches
+    _small_shape_sweep(ring)  # build the ring's element tuple, its one memo
     built = []
     init = RingElement.__init__
 

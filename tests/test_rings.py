@@ -33,6 +33,7 @@ from ringlab import (
     primitive_idempotent_decomposition,
     try_inverse,
 )
+from ringlab.cli import main
 from ringlab.rings import (
     Ring,
     RingElement,
@@ -660,6 +661,35 @@ for name, members, _ in {TAMPERED_IDEALS!r}:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [message for _, _, message in TAMPERED_IDEALS]
+
+
+# wrapped Ring.mul / Ring.add calls per command.  Units, idempotents, the
+# radical and the maximal ideals are all found on payloads, so what is left
+# is a handful of products outside those loops (for Z/512, the corner
+# projection of each element outside the ideal)
+WRAPPED_OP_COUNTS = [
+    (["verify", "--ring", "modular(12)", "--bound", "2"], 30, 0),
+    (["verify", "--ring", "modular(30)", "--bound", "2"], 86, 0),
+    (["localize", "--ring", "modular(512)", "--module", "1", "--at-maximal", "0"], 258, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, muls, adds", WRAPPED_OP_COUNTS, ids=["verify-12", "verify-30", "localize-512"]
+)
+def test_structure_checks_multiply_payloads(monkeypatch, capsys, argv, muls, adds):
+    counts = {"mul": 0, "add": 0}
+    for name in counts:
+        real = getattr(Ring, name)
+
+        def counted(self, a, b, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(self, a, b)
+
+        monkeypatch.setattr(Ring, name, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (counts["mul"], counts["add"]) == (muls, adds)
 
 
 # ---------------------------------------------------------------------------
