@@ -892,7 +892,7 @@ class CornerRing(Ring):
         if not ambient.is_finite():
             raise UnsupportedRing("corner rings are defined for finite rings only")
         ambient._own(e)
-        if e * e != e:
+        if ambient._mul(e.payload, e.payload) != e.payload:
             raise ValueError(f"{e!r} is not idempotent")
         self.ambient = ambient
         self.unit_element = e
@@ -910,7 +910,7 @@ class CornerRing(Ring):
     def from_ambient(self, a: RingElement) -> RingElement:
         """Project an ambient element into the corner (multiply by e)."""
         self.ambient._own(a)
-        return RingElement(self, (self.unit_element * a).payload)
+        return RingElement(self, self.ambient._mul(self.unit_element.payload, a.payload))
 
     def to_ambient(self, a: RingElement) -> RingElement:
         self._own(a)
@@ -1244,12 +1244,13 @@ def _is_nilpotent(a: RingElement) -> bool:
         return a.payload == 0
     if not ring.is_finite():
         raise UnsupportedRing(f"nilpotency test unsupported over {ring.descriptor()}")
-    power = a
+    x, mul, zero = a.payload, ring._mul, ring._zero()
+    power = x
     for _ in range(ring.cardinality()):
-        if power.is_zero():
+        if power == zero:
             return True
-        power = power * a
-    return power.is_zero()
+        power = mul(power, x)
+    return power == zero
 
 
 def _canonical_unit_mod(d: int, n: int) -> int:
@@ -1362,19 +1363,26 @@ def primitive_idempotent_decomposition(ring: Ring) -> IdempotentBasis:
     return IdempotentBasis(ring, primitive)
 
 
-def _radical_int(n: int) -> int:
-    rad = 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            rad *= d
-            while rest % d == 0:
-                rest //= d
-        d += 1
+def _factor_int(n: int) -> list[tuple[int, int]]:
+    """The primes p dividing n >= 1, increasing, each with its exponent, by
+    trial division."""
+    out, rest, p = [], n, 2
+    while p * p <= rest:
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
     if rest > 1:
-        rad *= rest
-    return rad
+        out.append((rest, 1))
+    return out
+
+
+def _radical_int(n: int) -> int:
+    """rad(n), the product of the primes dividing n."""
+    return math.prod(p for p, _ in _factor_int(n))
 
 
 def _verify_projection(ring: Ring, quotient: Ring, project, radical) -> None:
@@ -1495,9 +1503,10 @@ def idempotent_power(f: RingElement) -> RingElement:
     ring = f.ring
     if not ring.is_finite():
         raise UnsupportedRing("idempotent powers exist in finite rings only")
-    power = f
+    x, mul = f.payload, ring._mul
+    power = x
     for _ in range(2 * ring.cardinality() + 1):
-        if power * power == power:
-            return power
-        power = power * f
+        if mul(power, power) == power:
+            return RingElement(ring, power)
+        power = mul(power, x)
     raise AssertionError("no idempotent power found; ring arithmetic is broken")

@@ -26,7 +26,6 @@ from ringlab import (
     bounded_principality_check,
     cancellation_and_reduction_verify,
     jacobson_lift_verify,
-    jacobson_radical_and_quotient,
     local_global_verify,
     partition_of_unity_verify,
     trivial_extension_hermite_search,
@@ -713,28 +712,44 @@ def test_verify_reports_a_fault_inside_the_refinement_check(capsys, monkeypatch,
     )
 
 
-def test_verify_reports_a_wrong_projection(capsys, monkeypatch):
-    radical, quotient, _ = jacobson_radical_and_quotient(ModularRing(4))
-    wrong = lambda a: quotient.zero()  # sends every unit to 0
-    monkeypatch.setattr(
-        "ringlab.modules.jacobson_radical_and_quotient",
-        lambda ring: (radical, quotient, wrong),
-    )
-    code, out = run(capsys, "verify", "--ring", "modular(4)", "--bound", "1")
-    assert code == 1
-    assert out.endswith("result=violation\n")
-    # the shared sweep keeps counting past the failure, so the cancellation
-    # section still reports every matrix
-    assert (
-        "check=cancellation-and-reduction instance=modular(4) bound=1"
-        " verdict=holds checked=296\n"
-    ) in out
-    assert "check=jacobson-lift instance=modular(4) verdict=violated checked=318\n" in out
-    assert (
-        "  counterexample: 1x1 matrix [[0]]: its projected reduction is not a"
-        " reduction over gf(2)\n"
-        "check=decomposition"
-    ) in out
+_WRONG_RADICAL = """
+import ringlab.rings
+
+real_radical = ringlab.rings._radical_int
+
+def wrong_radical(n):
+    # rad(12) is 6; 12 makes the quotient Z/12 itself, whose projection has
+    # kernel {0} where the radical is {0, 6}
+    return n if n == 12 else real_radical(n)
+"""
+
+
+def test_a_wrong_quotient_is_an_internal_error(capsys, monkeypatch):
+    # the projection to R/J(R) is verified where it is built, so a wrong
+    # quotient stops verify as a bug (exit 4), never as a violation
+    namespace = {}
+    exec(_WRONG_RADICAL, namespace)
+    monkeypatch.setattr("ringlab.rings._radical_int", namespace["wrong_radical"])
+    code, out = run(capsys, "verify", "--ring", "modular(12)", "--bound", "2")
+    assert code == 4
+    assert out.splitlines()[0] == "internal error: projection kernel differs from the radical"
+
+
+def test_a_wrong_quotient_is_an_internal_error_under_python_O():
+    script = _WRONG_RADICAL + """
+ringlab.rings._radical_int = wrong_radical
+import ringlab.cli
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are live; not running under -O")
+print("exit", ringlab.cli.main(["verify", "--ring", "modular(12)", "--bound", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "internal error: projection kernel differs from the radical"
+    assert lines[-1] == "exit 4"
 
 
 @pytest.mark.parametrize(
@@ -862,9 +877,9 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"
         # 34 distinct pairs among the 1,374 matrices over Z/6, and the 6
         # regular 1x1 reductions of the decomposition section
         pytest.param("modular(6)", (34 + 2 * 6, 6), id="modular(6)"),
-        # 79 pairs over Z/12, 43 projected pairs over Z/6, 34 in the
-        # quotient sweep's own call over Z/6, and 9 regular 1x1 reductions
-        pytest.param("modular(12)", (79 + 43 + 34 + 2 * 9, 9), id="modular(12)"),
+        # 79 pairs over Z/12, 34 in the quotient sweep over Z/6, and 9
+        # regular 1x1 reductions
+        pytest.param("modular(12)", (79 + 34 + 2 * 9, 9), id="modular(12)"),
         # 361 pairs among the 1,830 matrices over Z/30, 30 regular 1x1
         pytest.param("modular(30)", (361 + 2 * 30, 30), id="modular(30)"),
     ],
@@ -872,9 +887,9 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"
 def test_verify_multiplies_out_each_distinct_transform_pair_once(
     capsys, monkeypatch, ring, products
 ):
-    # each sweep call keeps one set of verified pairs over R and one over
-    # R/J(R); every check without a set (the decomposition section's
-    # reductions) multiplies out both of its pairs
+    # each sweep call keeps one set of verified pairs; every check without
+    # a set (the decomposition section's reductions) multiplies out both of
+    # its pairs
     count = full = 0
     met = {}
     real_pair = ringlab.matrices._inverse_pair
@@ -896,11 +911,29 @@ def test_verify_multiplies_out_each_distinct_transform_pair_once(
 
     monkeypatch.setattr("ringlab.matrices._inverse_pair", counted_pair)
     monkeypatch.setattr("ringlab.matrices._reduction_holds", recorded_holds)
-    monkeypatch.setattr("ringlab.modules._reduction_holds", recorded_holds)
     code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
     assert code == 0
     assert count == sum(len(pairs) for _, pairs in met.values()) + 2 * full
     assert (count, full) == products
+
+
+def test_only_the_jacobson_section_computes_the_radical(capsys, monkeypatch):
+    # the sweep only reduces and counts: verify over Z/12 computes J(R) once,
+    # for Z/12, and sweeps the quotient Z/6 without computing its radical
+    calls = []
+    real = ringlab.modules.jacobson_radical_and_quotient
+
+    def recorded(ring):
+        calls.append(ring.descriptor())
+        return real(ring)
+
+    monkeypatch.setattr("ringlab.modules.jacobson_radical_and_quotient", recorded)
+    code, _ = run(capsys, "verify", "--ring", "modular(12)", "--bound", "2")
+    assert code == 0
+    assert calls == ["modular(12)"]
+    calls.clear()
+    assert cancellation_and_reduction_verify(ModularRing(12), 2).holds
+    assert calls == []
 
 
 def test_verify_rejects_non_modular(capsys):

@@ -36,7 +36,6 @@ from ringlab import (
     free_module,
     free_projective,
     jacobson_lift_verify,
-    jacobson_radical_and_quotient,
     kernel_image_cokernel,
     local_global_verify,
     localize_at_element,
@@ -980,21 +979,6 @@ def test_jacobson_lift_verify():
     assert any("{0}" in d for d in report.details)
 
 
-def test_jacobson_lift_reports_a_wrong_projection(monkeypatch):
-    radical, quotient, _ = jacobson_radical_and_quotient(Z4)
-    wrong = lambda a: quotient.zero()  # sends every unit to 0
-    monkeypatch.setattr(
-        "ringlab.modules.jacobson_radical_and_quotient",
-        lambda ring: (radical, quotient, wrong),
-    )
-    report = jacobson_lift_verify(Z4)
-    assert not report.holds
-    assert report.counterexample == (
-        "1x1 matrix [[0]]: its projected reduction is not a reduction over gf(2)"
-    )
-    assert "stopped at a failure" in report.details[3]
-
-
 # The lines of both small-shape sections as recorded before the sweep was
 # shared: J != 0 (modular(4), modular(9)), J = 0 over a composite modulus
 # (modular(6), modular(10)), and J = 0 over a prime, where the quotient of
@@ -1016,7 +1000,8 @@ def test_sweep_sections_match_recorded_output(descriptor):
 
 
 def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
-    # Z/4 has J(R) = {0, 2}, so every regular reduction is also projected
+    # the sweep reduces and checks bare payload tuples: the 292 matrices
+    # over Z/4 are never wrapped as elements
     ring = ModularRing(4)
     _small_shape_sweep(ring)  # build the ring's element tuple, its one memo
     built = []
@@ -1033,35 +1018,27 @@ def test_sweep_builds_fewer_elements_than_matrices(monkeypatch):
 
 
 def _direct_sweep(ring):
-    """The small-shape sweep's counts, notes and first failed projection
-    from one direct ``_reduce_payloads`` per matrix over R: the oracle of
-    the sweep that eliminates over each CRT factor and joins the witnesses."""
+    """The small-shape sweep's counts and notes from one direct
+    ``_reduce_payloads`` per matrix over R: the oracle of the sweep that
+    eliminates over each CRT factor and joins the witnesses."""
     shapes = [(1, 1), (1, 2), (2, 1)]
     if ring.cardinality() ** 4 <= element_budget():
         shapes.append((2, 2))
-    radical, quotient, project = ringlab.modules.jacobson_radical_and_quotient(ring)
     payloads = [a.payload for a in ring.elements()]
     regular = {a.payload for a in ring.elements() if is_regular_element(a)[0]}
-    image = {a.payload: project(a).payload for a in ring.elements()}
     seen = regular_count = 0
     notes = []
-    bad = None
     for rows, cols in shapes:
         shape_regular = 0
         for combo in itertools.product(payloads, repeat=rows * cols):
-            witness = _reduce_payloads(ring, combo, rows, cols)
-            if any(witness[4][i * cols + i] not in regular for i in range(min(rows, cols))):
-                continue
-            shape_regular += 1
-            if len(radical) > 1 and bad is None:
-                mapped = [tuple(image[p] for p in t) for t in (combo, *witness)]
-                if not _reduction_holds(quotient, mapped[0], rows, cols, *mapped[1:]):
-                    bad = RingMatrix(ring, rows, cols, combo)
+            D = _reduce_payloads(ring, combo, rows, cols)[4]
+            if all(D[i * cols + i] in regular for i in range(min(rows, cols))):
+                shape_regular += 1
         total = len(payloads) ** (rows * cols)
         seen += total
         regular_count += shape_regular
         notes.append(f"shape {rows}x{cols}: {shape_regular}/{total} regular")
-    return seen, regular_count, tuple(notes), bad
+    return seen, regular_count, tuple(notes)
 
 
 def _sweep_with_recorded_checks(monkeypatch, ring):
@@ -1090,7 +1067,7 @@ def test_split_sweep_matches_a_direct_reduction_per_matrix(
         # sides of the 2x2 rule at its edge
         monkeypatch.setattr("ringlab.errors.DEFAULT_ELEMENT_BUDGET", element_cap)
     sweep, checks = _sweep_with_recorded_checks(monkeypatch, ring)
-    assert (sweep.seen, sweep.regular, sweep.notes, sweep.bad) == _direct_sweep(ring)
+    assert (sweep.seen, sweep.regular, sweep.notes) == _direct_sweep(ring)
     # every matrix over R is checked exactly once, in payload order, and
     # every joined witness is a reduction over R
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2)][: len(sweep.notes)]
@@ -1103,19 +1080,6 @@ def test_split_sweep_matches_a_direct_reduction_per_matrix(
     # the oracle re-checks each witness in full, without the sweep's set of
     # verified transform pairs
     assert all(_reduction_holds(*args[:9]) for args in checks)
-
-
-def test_split_sweep_reports_the_first_failed_projection(monkeypatch):
-    # Z/12 = Z/4 x Z/3 with J = {0, 6}: a projection that sends everything
-    # to 0 breaks the first regular matrix, [[0]], on both routes
-    radical, quotient, _ = jacobson_radical_and_quotient(Z12)
-    monkeypatch.setattr(
-        "ringlab.modules.jacobson_radical_and_quotient",
-        lambda ring: (radical, quotient, lambda a: quotient.zero()),
-    )
-    sweep = _small_shape_sweep(Z12)
-    assert sweep.bad == RingMatrix.from_rows(Z12, [[0]])
-    assert _direct_sweep(Z12)[3] == sweep.bad
 
 
 @pytest.mark.parametrize(

@@ -663,19 +663,21 @@ for name, members, _ in {TAMPERED_IDEALS!r}:
     assert proc.stdout.splitlines() == [message for _, _, message in TAMPERED_IDEALS]
 
 
-# wrapped Ring.mul / Ring.add calls per command.  Units, idempotents, the
-# radical and the maximal ideals are all found on payloads, so what is left
-# is a handful of products outside those loops (for Z/512, the corner
-# projection of each element outside the ideal)
+# wrapped Ring.mul / Ring.add calls per command.  Units, idempotents and
+# their powers, nilpotency, the radical, the maximal ideals and the corner
+# rings all multiply payloads, so none is left
 WRAPPED_OP_COUNTS = [
-    (["verify", "--ring", "modular(12)", "--bound", "2"], 30, 0),
-    (["verify", "--ring", "modular(30)", "--bound", "2"], 86, 0),
-    (["localize", "--ring", "modular(512)", "--module", "1", "--at-maximal", "0"], 258, 0),
+    (["verify", "--ring", "modular(12)", "--bound", "2"], 0, 0),
+    (["verify", "--ring", "modular(30)", "--bound", "2"], 0, 0),
+    (["localize", "--ring", "modular(512)", "--module", "1", "--at-maximal", "0"], 0, 0),
+    (["localize", "--ring", "modular(12)", "--module", "2,1", "--at-element", "2"], 0, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, muls, adds", WRAPPED_OP_COUNTS, ids=["verify-12", "verify-30", "localize-512"]
+    "argv, muls, adds",
+    WRAPPED_OP_COUNTS,
+    ids=["verify-12", "verify-30", "localize-512", "localize-12"],
 )
 def test_structure_checks_multiply_payloads(monkeypatch, capsys, argv, muls, adds):
     counts = {"mul": 0, "add": 0}
