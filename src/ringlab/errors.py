@@ -14,9 +14,10 @@ carrier points of ``free_module``, ``to_finite_module`` and
 combinations and column pairs (the counterexample searches), candidate
 matrices (brute-force regularity), candidate generator images
 (``find_module_isomorphism``), the trial divisors of the primality test
-behind ``gf(p)``, the element pairs of the Jacobson radical, and the module
-pairs, candidate pairs, unit combinations and small matrices of ``verify``
-and ``check-cancellation``.  Neither cap is set per call: the element cap
+behind ``gf(p)``, the element pairs of the Jacobson radical and of the
+regularity scan of ``decomposition_verify``, and the module pairs, candidate
+pairs, unit combinations and small matrices of ``verify`` and
+``check-cancellation``.  Neither cap is set per call: the element cap
 is ``DEFAULT_ELEMENT_BUDGET`` and the search cap is
 ``RINGLAB_SEARCH_BUDGET`` or ``DEFAULT_SEARCH_BUDGET``.
 """

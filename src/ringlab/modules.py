@@ -20,8 +20,8 @@ Each kind of target has one builder, used by the public calls and verifiers.
 The verifiers at the bottom each check one structural statement about these
 modules (refinement in the projective-class monoid, local-global detection of
 isomorphism, partitions of unity, constant rank implying free, cancellation
-plus diagonal reduction, lifting reductions through the radical, the
-decomposition behind each regular 1x1 matrix) and return a ``VerifierReport``
+plus diagonal reduction, lifting reductions through the radical, the two
+splittings behind each regular element) and return a ``VerifierReport``
 with counts and, on failure, a counterexample payload.  Every section of
 ``ringlab verify`` is one of these reports; ``verify_suite`` builds all six,
 sweeping the small shapes once for the cancellation and Jacobson reports,
@@ -918,9 +918,9 @@ def constant_rank_free_check(module: ProjectiveModule) -> RankVerdict:
     """Constant localized rank forces freeness; otherwise report the ranks.
     A constant-rank module that does not match R^r is reported as the
     counterexample."""
-    k = len(module.basis)
     ranks = tuple(
-        localize_at_maximal(module, i).free_rank for i in range(k)
+        _maximal_localizer(module.basis, i, ideal)(module).free_rank
+        for i, ideal in enumerate(maximal_ideals(module.ring))
     )
     first = ranks[0] if ranks else 0
     if all(r == first for r in ranks):
@@ -960,23 +960,27 @@ def stably_free_check(module: ProjectiveModule, a: int, b: int) -> RankVerdict:
     return RankVerdict(True, rank, module.multiplicities)
 
 
+def _index_splits(d: RingElement, unit_module: FiniteModule) -> tuple[tuple, bool, bool]:
+    """|ann(d)|, |dR|, |R/dR|, and whether ann(d) (+) dR and R/dR (+) dR are
+    each isomorphic to ``unit_module``, the shared ``ring_module`` of d's ring."""
+    K = annihilator_submodule(d)
+    I = cyclic_submodule(d)
+    C = quotient_by_cyclic(d)
+    ok_kernel = module_iso(direct_sum(K, I), unit_module)
+    ok_cokernel = module_iso(direct_sum(C, I), unit_module)
+    return (len(K), len(I), len(C)), ok_kernel, ok_cokernel
+
+
 def diagonal_refinement_check(f: RingMatrix) -> VerifierReport:
     """For a regular matrix with diagonal form diag(d_1..d_r): each index must
-    satisfy ann(d_j) (+) d_j R = R and R/d_j R (+) d_j R = R, checked by
-    :func:`module_iso`: by the sizes |q*M| over Z/n, by explicit isomorphism
-    search over other rings.  Cardinalities of the full kernel, image, and
-    cokernel are cross-checked against the per-index factors when enumerable."""
-    if not f.ring.is_finite():
-        raise UnsupportedRing("the refinement check enumerates modules; finite only")
-    return _diagonal_refinement(f, ring_module(f.ring))
-
-
-def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierReport:
-    """:func:`diagonal_refinement_check` of f over a finite ring, against the
-    given ``ring_module(f.ring)``: callers that check many matrices over one
-    ring share it, and with it what :func:`module_iso` keeps on it (its
-    sizes |q*R| over Z/n, its points' annihilators for the search)."""
+    satisfy ann(d_j) (+) d_j R = R and R/d_j R (+) d_j R = R, by :func:`module_iso`
+    as :func:`decomposition_verify` checks each regular element.  Cardinalities
+    of the full kernel, image, and cokernel are cross-checked against the
+    per-index factors when enumerable."""
     ring = f.ring
+    if not ring.is_finite():
+        raise UnsupportedRing("the refinement check enumerates modules; finite only")
+    unit_module = ring_module(ring)
     g, diag = _regularity(f)
     if g is None:
         raise ValueError("the matrix is not regular; the criterion does not apply")
@@ -997,12 +1001,8 @@ def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierRe
         )
 
     for j, d in enumerate(diag):
-        K = annihilator_submodule(d)
-        I = cyclic_submodule(d)
-        C = quotient_by_cyclic(d)
-        factor_sizes.append((len(K), len(I), len(C)))
-        ok_kernel = module_iso(direct_sum(K, I), unit_module)
-        ok_cokernel = module_iso(direct_sum(C, I), unit_module)
+        sizes, ok_kernel, ok_cokernel = _index_splits(d, unit_module)
+        factor_sizes.append(sizes)
         checked += 2
         details.append(
             f"j={j + 1} d={d.literal()}"
@@ -1042,15 +1042,14 @@ def _diagonal_refinement(f: RingMatrix, unit_module: FiniteModule) -> VerifierRe
 
 
 def decomposition_verify(ring: Ring) -> VerifierReport:
-    """:func:`diagonal_refinement_check` on the 1x1 matrix [a] for every
-    regular element a of the ring, all against one ``ring_module(ring)``."""
-    regular = [a for a in ring.elements() if is_regular_element(a)[0]]
+    """Both splittings ann(a) (+) aR = R and R/aR (+) aR = R of every regular
+    element a, all against one ``ring_module(ring)``, with no matrix built;
+    the scan's |R|^2 element pairs are counted against the search budget."""
+    elements = ring.elements()
+    check_search_budget(len(elements) ** 2, "element pairs")
+    regular = [a for a in elements if is_regular_element(a)[0]]
     unit_module = ring_module(ring)
-    failing = [
-        a.literal()
-        for a in regular
-        if not _diagonal_refinement(RingMatrix.from_rows(ring, [[a]]), unit_module).holds
-    ]
+    failing = [a.literal() for a in regular if not all(_index_splits(a, unit_module)[1:])]
     return VerifierReport(
         name="decomposition",
         instance=f"{ring.descriptor()} regular 1x1",

@@ -22,7 +22,6 @@ from ringlab import (
     PolynomialRing,
     RingMatrix,
     TrivialExtensionRing,
-    VerifierReport,
     bounded_principality_check,
     cancellation_and_reduction_verify,
     jacobson_lift_verify,
@@ -659,15 +658,13 @@ def test_verify_rejects_a_negative_bound(capsys):
 
 
 def test_verify_reports_a_failed_decomposition(capsys, monkeypatch):
-    original = ringlab.modules._diagonal_refinement
+    original = ringlab.modules._index_splits
 
-    def fail_at_three(f, unit_module):
-        report = original(f, unit_module)
-        if f.entry(0, 0).literal() != 3:
-            return report
-        return VerifierReport(report.name, report.instance, False, report.checked)
+    def fail_at_three(d, unit_module):
+        sizes, ok_kernel, ok_cokernel = original(d, unit_module)
+        return sizes, ok_kernel and d.literal() != 3, ok_cokernel
 
-    monkeypatch.setattr("ringlab.modules._diagonal_refinement", fail_at_three)
+    monkeypatch.setattr("ringlab.modules._index_splits", fail_at_three)
     code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
     assert code == 1
     assert out.endswith(
@@ -686,21 +683,9 @@ def _fail_index_at_three(monkeypatch):
     )
 
 
-def _swap_kernel_and_image_at_three(monkeypatch):
-    original = ringlab.modules.kernel_image_cokernel
-
-    def swapped(f):
-        kernel, image, coker = original(f)
-        if f.entry(0, 0).literal() == 3:
-            return image, kernel, coker
-        return kernel, image, coker
-
-    monkeypatch.setattr("ringlab.modules.kernel_image_cokernel", swapped)
-
-
 # faults below the refinement check itself, not a stub of it: each must come
 # back as a violation (exit 1) naming the element, never as an internal error
-@pytest.mark.parametrize("inject", [_fail_index_at_three, _swap_kernel_and_image_at_three])
+@pytest.mark.parametrize("inject", [_fail_index_at_three])
 def test_verify_reports_a_fault_inside_the_refinement_check(capsys, monkeypatch, inject):
     inject(monkeypatch)
     code, out = run(capsys, "verify", "--ring", "modular(6)", "--bound", "1")
@@ -710,6 +695,25 @@ def test_verify_reports_a_fault_inside_the_refinement_check(capsys, monkeypatch,
         "  counterexample: diagonal refinement fails for [a] with a in [3]\n"
         "result=violation\n"
     )
+
+
+@pytest.mark.parametrize("ring", ["modular(12)", "modular(30)"])
+def test_verify_builds_no_ring_matrix(capsys, monkeypatch, ring):
+    # the sweep reduces payload tuples, and the decomposition section checks
+    # each regular element's splittings directly
+    built = []
+    real = RingMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(RingMatrix, "__post_init__", counted)
+    code, _ = run(capsys, "verify", "--ring", ring, "--bound", "2")
+    assert code == 0
+    assert built == []
+    RingMatrix.from_rows(ModularRing(12), [[3]])
+    assert len(built) == 1
 
 
 _WRONG_RADICAL = """
@@ -758,23 +762,20 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(12)", "--bound", "2
         # J = 0: one sweep of 30 + 900 + 900 matrices (2x2 is over the
         # element budget) also serves as the quotient sweep.  It eliminates
         # over Z/2, Z/3 and Z/5 once per factor matrix, 10 + 38 + 38, and
-        # checks each joined witness over Z/30; the decomposition section
-        # reduces each of the 30 regular 1x1 matrices through the kernel
-        pytest.param("modular(30)", 86 + 30, 1_830 + 30, id="modular(30)-1860"),
+        # checks each joined witness over Z/30
+        pytest.param("modular(30)", 86, 1_830, id="modular(30)-1830"),
         # J != 0: Z/12 = Z/4 x Z/3 (7 + 25 + 25 factor matrices for 300
-        # matrices over Z/12), its quotient Z/6 = Z/2 x Z/3 with 2x2
-        # included (5 + 13 + 13 + 97 for 1,374), and 9 regular 1x1 matrices
-        pytest.param(
-            "modular(12)", 57 + 128 + 9, 300 + 1_374 + 9, id="modular(12)-1683"
-        ),
+        # matrices over Z/12), and its quotient Z/6 = Z/2 x Z/3 with 2x2
+        # included (5 + 13 + 13 + 97 for 1,374)
+        pytest.param("modular(12)", 57 + 128, 300 + 1_374, id="modular(12)-1674"),
     ],
 )
 def test_verify_reduces_each_small_matrix_once(
     capsys, monkeypatch, ring, eliminations, checks
 ):
     # the sweep eliminates each factor matrix once and checks each matrix
-    # over R once; diagonal_reduction (the decomposition section) runs the
-    # whole kernel, one elimination and one check, per matrix
+    # over R once; no other section of verify reduces a matrix (the
+    # decomposition section checks each regular element without one)
     counts = {"_eliminate_payloads": 0, "_check_reduction": 0}
     for name in counts:
         original = getattr(ringlab.matrices, name)
@@ -874,22 +875,20 @@ print("exit", ringlab.cli.main(["verify", "--ring", "modular(6)", "--bound", "1"
 @pytest.mark.parametrize(
     "ring, products",
     [
-        # 34 distinct pairs among the 1,374 matrices over Z/6, and the 6
-        # regular 1x1 reductions of the decomposition section
-        pytest.param("modular(6)", (34 + 2 * 6, 6), id="modular(6)"),
-        # 79 pairs over Z/12, 34 in the quotient sweep over Z/6, and 9
-        # regular 1x1 reductions
-        pytest.param("modular(12)", (79 + 34 + 2 * 9, 9), id="modular(12)"),
-        # 361 pairs among the 1,830 matrices over Z/30, 30 regular 1x1
-        pytest.param("modular(30)", (361 + 2 * 30, 30), id="modular(30)"),
+        # 34 distinct pairs among the 1,374 matrices over Z/6
+        pytest.param("modular(6)", (34, 0), id="modular(6)"),
+        # 79 pairs over Z/12 and 34 in the quotient sweep over Z/6
+        pytest.param("modular(12)", (79 + 34, 0), id="modular(12)"),
+        # 361 pairs among the 1,830 matrices over Z/30
+        pytest.param("modular(30)", (361, 0), id="modular(30)"),
     ],
 )
 def test_verify_multiplies_out_each_distinct_transform_pair_once(
     capsys, monkeypatch, ring, products
 ):
-    # each sweep call keeps one set of verified pairs; every check without
-    # a set (the decomposition section's reductions) multiplies out both of
-    # its pairs
+    # each sweep call keeps one set of verified pairs; a check without a set
+    # would multiply out both of its pairs, and every check in verify is a
+    # sweep check
     count = full = 0
     met = {}
     real_pair = ringlab.matrices._inverse_pair

@@ -24,7 +24,6 @@ from ringlab import (
     RingMatrix,
     TrivialExtensionRing,
     UnsupportedRing,
-    VerifierReport,
     annihilator_submodule,
     cancellation_and_reduction_verify,
     constant_rank_free_check,
@@ -57,7 +56,7 @@ from ringlab import (
 from ringlab.cli import _default_partition_generators
 from ringlab.errors import element_budget
 from ringlab.matrices import _reduce_payloads, _reduction_holds
-from ringlab.modules import _small_shape_sweep
+from ringlab.modules import _index_splits, _small_shape_sweep
 from ringlab.rings import is_regular_element
 
 Z4 = ModularRing(4)
@@ -781,6 +780,11 @@ def test_local_global_verify_computes_the_maximal_ideals_once(monkeypatch):
         checked.clear()
         assert local_global_verify(ModularRing(30), 2).holds
         assert len(checked) == 3
+    module = projective_module(ModularRing(30), (1, 1, 1))
+    for _ in range(2):
+        checked.clear()
+        assert constant_rank_free_check(module).free
+        assert len(checked) == 3
 
 
 def test_a_call_keeps_nothing_alive():
@@ -938,9 +942,6 @@ def test_diagonal_refinement_reports_a_cardinality_mismatch(monkeypatch):
         "  j=1 d=3 ann(+)dR=ok quot(+)dR=ok",
         "  counterexample: cardinalities ker/im/coker = 2/3/3, expected 3/2/3",
     ]
-    report = decomposition_verify(Z6)
-    assert not report.holds
-    assert report.counterexample == "diagonal refinement fails for [a] with a in [3]"
 
 
 def test_diagonal_refinement_skips_the_cross_check_past_the_element_budget(
@@ -1193,16 +1194,62 @@ def test_refinement_verify_reports_a_failed_splitting(monkeypatch):
     assert report.lines()[-1] == "  counterexample: a splitting failed"
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "modular(4)",
+        "modular(6)",
+        "modular(8)",
+        "modular(9)",
+        "modular(12)",
+        "modular(30)",
+        "trivial(modular(2))",
+        "product(gf(2), gf(3))",
+    ],
+)
+def test_index_splits_agree_with_the_refinement_check_of_each_regular_1x1(descriptor):
+    # the decomposition section checks each regular a without a matrix; its
+    # verdict must be the refinement check's on [a], cross-check included
+    ring = parse_ring(descriptor)
+    unit_module = ring_module(ring)
+    regular = [a for a in ring.elements() if is_regular_element(a)[0]]
+    for a in regular:
+        _, ok_kernel, ok_cokernel = _index_splits(a, unit_module)
+        report = diagonal_refinement_check(RingMatrix.from_rows(ring, [[a]]))
+        assert (ok_kernel and ok_cokernel) == report.holds, a.literal()
+    report = decomposition_verify(ring)
+    assert report.holds
+    assert report.checked == len(regular)
+
+
+def test_decomposition_verify_counts_its_element_pairs_first(monkeypatch):
+    # the regularity scan walks up to |R|^2 element pairs: 40^2 = 1,600 pass
+    # a budget of 1000 before any element is tested, 30^2 = 900 do not
+    monkeypatch.setenv("RINGLAB_SEARCH_BUDGET", "1000")
+    real = ringlab.modules.is_regular_element
+    tested = []
+
+    def recorded(a):
+        tested.append(a)
+        return real(a)
+
+    monkeypatch.setattr("ringlab.modules.is_regular_element", recorded)
+    message = re.escape("1600 element pairs exceed the search budget 1000")
+    with pytest.raises(BudgetExceeded, match=message):
+        decomposition_verify(ModularRing(40))
+    assert tested == []
+    report = decomposition_verify(ModularRing(30))
+    assert report.holds and report.checked == 30
+
+
 def test_decomposition_verify_names_the_failing_element(monkeypatch):
-    original = ringlab.modules._diagonal_refinement
+    original = ringlab.modules._index_splits
 
-    def fail_at_three(f, unit_module):
-        report = original(f, unit_module)
-        if f.entry(0, 0).literal() != 3:
-            return report
-        return VerifierReport(report.name, report.instance, False, report.checked)
+    def fail_at_three(d, unit_module):
+        sizes, ok_kernel, ok_cokernel = original(d, unit_module)
+        return sizes, ok_kernel and d.literal() != 3, ok_cokernel
 
-    monkeypatch.setattr("ringlab.modules._diagonal_refinement", fail_at_three)
+    monkeypatch.setattr("ringlab.modules._index_splits", fail_at_three)
     report = decomposition_verify(Z6)
     assert not report.holds
     assert report.checked == 6
